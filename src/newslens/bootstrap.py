@@ -13,7 +13,7 @@ import numpy as np
 
 from .sentiment import MentionRecord, mention_value
 
-__all__ = ["BootstrapResult", "bootstrap_sb", "bootstrap_stderr"]
+__all__ = ["BootstrapResult", "bootstrap_sb"]
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -23,13 +23,16 @@ class BootstrapResult:
     """Point estimate with percentile interval and sign diagnostic.
 
     ``p_sign`` is the fraction of resamples with a non-positive
-    statistic; ``generator`` records the RNG behind the resampling.
+    statistic; ``stderr`` is the standard deviation (ddof=1) of the
+    resampled statistics; ``generator`` records the RNG behind the
+    resampling.
     """
 
     point: float
     ci_low: float
     ci_high: float
     p_sign: float
+    stderr: float
     n_mentions: int
     n_resamples: int
     level: float
@@ -78,7 +81,7 @@ def bootstrap_sb(
     Mentions may be MentionRecord objects or (entity, class) pairs.  The
     point estimate comes from the original data alone; ``n_resamples``
     same-size resamples drawn with replacement yield the percentile
-    interval at ``level`` and the sign diagnostic.
+    interval at ``level``, the sign diagnostic and the standard error.
     """
     if not mentions:
         raise ValueError("no mentions to resample")
@@ -95,23 +98,10 @@ def bootstrap_sb(
         ci_low=float(lo),
         ci_high=float(hi),
         p_sign=float(np.mean(means <= 0.0)),
+        stderr=float(np.std(means, ddof=1)),
         n_mentions=vals.size,
         n_resamples=n_resamples,
         level=level,
         seed=seed,
     )
 
-
-def bootstrap_stderr(
-    mentions: list[MentionRecord] | list[tuple[str, str]],
-    label_a: str,
-    label_b: str,
-    n_resamples: int = 10000,
-    seed: int = 0,
-) -> float:
-    """Standard deviation of the resampled bias values."""
-    if not mentions:
-        raise ValueError("no mentions to resample")
-    vals = _values(mentions, label_a, label_b)
-    means = _resample_means(vals, n_resamples, seed)
-    return float(np.std(means, ddof=1))

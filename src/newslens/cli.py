@@ -19,22 +19,11 @@ import argparse
 import dataclasses
 import logging
 import sys
-import time
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
 from .fixture import FixtureSpec, generate_fixture
-from .pipeline import (
-    PipelineError,
-    ReportBundle,
-    RunState,
-    run_pipeline,
-    stage_causality,
-    stage_correlate,
-    stage_ingest,
-    stage_sentiment,
-    stage_topics,
-)
+from .pipeline import PipelineError, RunState, run_pipeline
 from .report import emit_outputs
 
 log = logging.getLogger(__name__)
@@ -69,23 +58,8 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def _run_stages(cfg: PipelineConfig, stages) -> ReportBundle:
-    t0 = time.monotonic()
-    state = RunState(config=cfg)
-    for stage in stages:
-        stage(state)
-    return ReportBundle(state=state, runtime_seconds=time.monotonic() - t0)
-
-
-def _emit(bundle: ReportBundle, cfg: PipelineConfig) -> None:
-    manifest = emit_outputs(bundle, cfg.out_dir)
-    print(f"wrote {len(manifest['files']) + 1} files to {cfg.out_dir}")
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    bundle = _run_stages(cfg, [stage_ingest])
-    state = bundle.state
+def _print_validate(state: RunState) -> None:
+    cfg = state.config
     print(f"config ok: {len(cfg.articles)} outlet(s), seed {cfg.seed}")
     print(f"polls: {len(state.polls)} records, spread span {len(state.spread)} days")
     for outlet in sorted(state.articles):
@@ -93,33 +67,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         first = min(a.date for a in arts)
         last = max(a.date for a in arts)
         print(f"outlet {outlet}: {len(arts)} articles, {first} .. {last}")
-    return 0
 
 
-def _cmd_topics(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    bundle = _run_stages(cfg, [stage_ingest, stage_topics])
-    for outlet in sorted(bundle.state.outlets):
-        res = bundle.state.outlets[outlet]
+def _print_topics(state: RunState) -> None:
+    for outlet in sorted(state.outlets):
+        res = state.outlets[outlet]
         print(f"outlet {outlet}: reconstruction error {res.factors.final_error:.4f} "
               f"after {res.factors.iterations} iterations")
         for pos, topic_id in enumerate(res.coverage.topic_ids):
             words = ", ".join(res.keywords[topic_id][:8])
             print(f"  topic {topic_id} (share {res.agenda[pos]:.3f}): {words}")
-    _emit(bundle, cfg)
-    return 0
 
 
-def _cmd_sentiment(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    bundle = _run_stages(cfg, [stage_ingest, stage_topics, stage_sentiment])
-    for outlet in sorted(bundle.state.outlets):
-        res = bundle.state.outlets[outlet]
+def _print_sentiment(state: RunState) -> None:
+    for outlet in sorted(state.outlets):
+        res = state.outlets[outlet]
         b = res.sb_bootstrap
         print(
             f"outlet {outlet}: SB {res.sb_overall.value:+.4f} "
             f"(95% CI {b.ci_low:+.4f} .. {b.ci_high:+.4f}, "
-            f"stderr {res.sb_stderr:.4f}, {len(res.mentions)} mentions)"
+            f"stderr {b.stderr:.4f}, {len(res.mentions)} mentions)"
         )
         for pos, topic_id in enumerate(res.coverage.topic_ids):
             sb = res.sb_by_topic[pos]
@@ -127,15 +94,11 @@ def _cmd_sentiment(args: argparse.Namespace) -> int:
                 print(f"  topic {topic_id}: not significant (too few mentions)")
             else:
                 print(f"  topic {topic_id}: SB {sb.value:+.4f} ({sb.tally.total} mentions)")
-    _emit(bundle, cfg)
-    return 0
 
 
-def _cmd_correlate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    bundle = _run_stages(cfg, [stage_ingest, stage_topics, stage_sentiment, stage_correlate])
-    for outlet in sorted(bundle.state.outlets):
-        res = bundle.state.outlets[outlet]
+def _print_correlate(state: RunState) -> None:
+    for outlet in sorted(state.outlets):
+        res = state.outlets[outlet]
         for label in sorted(res.mention_correlations):
             best = max(res.mention_correlations[label], key=lambda c: abs(c.rho))
             print(
@@ -148,17 +111,11 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
                 f"outlet {outlet} topic {topic_id}: "
                 f"max |rho| {best.rho:+.3f} at lag {best.lag} (p={best.p_value:.4f})"
             )
-    _emit(bundle, cfg)
-    return 0
 
 
-def _cmd_causality(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    bundle = _run_stages(
-        cfg, [stage_ingest, stage_topics, stage_sentiment, stage_correlate, stage_causality]
-    )
-    for outlet in sorted(bundle.state.outlets):
-        res = bundle.state.outlets[outlet]
+def _print_causality(state: RunState) -> None:
+    for outlet in sorted(state.outlets):
+        res = state.outlets[outlet]
         hits = [g for g in res.granger if g.p_value < 0.01]
         print(f"outlet {outlet}: {len(hits)} significant (topic, lag) cells at p < 0.01")
         for g in sorted(hits, key=lambda g: g.p_value)[:10]:
@@ -166,15 +123,34 @@ def _cmd_causality(args: argparse.Namespace) -> int:
                 f"  topic {g.topic} lag {g.lag}: beta {g.beta:+.4g} "
                 f"(t={g.t_stat:.2f}, p={g.p_value:.2e}, n={g.n_obs})"
             )
-    _emit(bundle, cfg)
-    return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+# command -> (help, last stage run, summary printer or None, whether outputs are written)
+ANALYSIS_COMMANDS = {
+    "validate": ("check config and input files", "ingest", _print_validate, False),
+    "topics": ("fit topics and write coverage outputs", "topics", _print_topics, True),
+    "sentiment": ("score mentions and write bias outputs", "sentiment", _print_sentiment, True),
+    "correlate": (
+        "lagged correlation scans against the polls", "correlate", _print_correlate, True
+    ),
+    "causality": (
+        "lead-lag slope tests on differenced series", "causality", _print_causality, True
+    ),
+    "run": ("full pipeline with all outputs", "causality", None, True),
+}
+
+
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    _, through, summarize, emits = ANALYSIS_COMMANDS[args.command]
     cfg = _config_from_args(args)
-    bundle = run_pipeline(cfg)
-    _emit(bundle, cfg)
-    print(f"runtime {bundle.runtime_seconds:.1f}s")
+    bundle = run_pipeline(cfg, through)
+    if summarize is not None:
+        summarize(bundle.state)
+    if emits:
+        manifest = emit_outputs(bundle, cfg.out_dir)
+        print(f"wrote {len(manifest['files']) + 1} files to {cfg.out_dir}")
+    if args.command == "run":
+        print(f"runtime {bundle.runtime_seconds:.1f}s")
     return 0
 
 
@@ -201,17 +177,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-        ("validate", _cmd_validate, "check config and input files"),
-        ("topics", _cmd_topics, "fit topics and write coverage outputs"),
-        ("sentiment", _cmd_sentiment, "score mentions and write bias outputs"),
-        ("correlate", _cmd_correlate, "lagged correlation scans against the polls"),
-        ("causality", _cmd_causality, "lead-lag slope tests on differenced series"),
-        ("run", _cmd_run, "full pipeline with all outputs"),
-    ):
+    for name, (doc, *_) in ANALYSIS_COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         _add_config_flags(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_analysis)
 
     p = sub.add_parser("fixture", help="generate a synthetic corpus with ground truth")
     p.add_argument("--out", required=True, help="directory to write the fixture into")

@@ -63,6 +63,13 @@ class PipelineConfig:
             raise ValueError(f"config: max_lag must be >= 0, got {self.max_lag}")
         if not 0.0 < self.bootstrap_gamma < 1.0:
             raise ValueError(f"config: bootstrap level must be in (0, 1), got {self.bootstrap_gamma}")
+        for name in ("min_df", "keywords_per_topic", "n_perm", "bootstrap_b"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"config: {name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.membership_threshold <= 1.0:
+            raise ValueError(
+                f"config: membership_threshold must be in (0, 1], got {self.membership_threshold}"
+            )
         bad = [i for i in self.drop_topics if not 0 <= i < self.n_topics]
         if bad:
             raise ValueError(f"config: drop_topics {bad} outside [0, {self.n_topics})")
@@ -88,10 +95,10 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json":
-        raw = json.loads(text)
-    else:
-        raw = yaml.safe_load(text)
+    try:
+        raw = json.loads(text) if path.suffix.lower() == ".json" else yaml.safe_load(text)
+    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        raise ValueError(f"{path}: cannot parse config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a mapping")
     base = path.parent
@@ -126,31 +133,36 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         v = section.get(key)
         return resolve(v) if v is not None else None
 
-    kwargs = dict(
-        articles=articles,
-        polls=resolve(_require(raw, "polls", str(path))),
-        entities=tuple(entities),
-        seed=int(_require(raw, "seed", str(path))),
-        out_dir=resolve(raw.get("output", "out")),
-        n_topics=int(topics.get("count", 6)),
-        drop_topics=tuple(int(i) for i in topics.get("drop", []) or []),
-        normalization=str(topics.get("normalization", "per_day_share")),
-        min_df=int(topics.get("min_df", 2)),
-        window_days=int(raw.get("window_days", 7)),
-        max_lag=int(analysis.get("max_lag", 20)),
-        n_perm=int(analysis.get("permutations", 10000)),
-        bootstrap_b=int(boot.get("samples", 10000)),
-        bootstrap_gamma=float(boot.get("level", 0.95)),
-        membership_threshold=float(senti.get("membership_threshold", 0.34)),
-        min_topic_mentions=int(senti.get("min_topic_mentions", 30)),
-        keywords_per_topic=int(topics.get("keywords", 10)),
-        stopwords=opt_path(raw, "stopwords"),
-        lexicon=opt_path(senti, "lexicon"),
-        negators=opt_path(senti, "negators"),
-        intensifiers=opt_path(senti, "intensifiers"),
-        diminishers=opt_path(senti, "diminishers"),
-        labels=opt_path(senti, "labels"),
-    )
+    polls = resolve(_require(raw, "polls", str(path)))
+    seed = _require(raw, "seed", str(path))
+    try:
+        kwargs = dict(
+            articles=articles,
+            polls=polls,
+            entities=tuple(entities),
+            seed=int(seed),
+            out_dir=resolve(raw.get("output", "out")),
+            n_topics=int(topics.get("count", 6)),
+            drop_topics=tuple(int(i) for i in topics.get("drop", []) or []),
+            normalization=str(topics.get("normalization", "per_day_share")),
+            min_df=int(topics.get("min_df", 2)),
+            window_days=int(raw.get("window_days", 7)),
+            max_lag=int(analysis.get("max_lag", 20)),
+            n_perm=int(analysis.get("permutations", 10000)),
+            bootstrap_b=int(boot.get("samples", 10000)),
+            bootstrap_gamma=float(boot.get("level", 0.95)),
+            membership_threshold=float(senti.get("membership_threshold", 0.34)),
+            min_topic_mentions=int(senti.get("min_topic_mentions", 30)),
+            keywords_per_topic=int(topics.get("keywords", 10)),
+            stopwords=opt_path(raw, "stopwords"),
+            lexicon=opt_path(senti, "lexicon"),
+            negators=opt_path(senti, "negators"),
+            intensifiers=opt_path(senti, "intensifiers"),
+            diminishers=opt_path(senti, "diminishers"),
+            labels=opt_path(senti, "labels"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad setting value: {exc}") from exc
     cfg = PipelineConfig(**kwargs)
     if overrides:
         cleaned = {k: v for k, v in overrides.items() if v is not None}

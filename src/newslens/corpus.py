@@ -17,7 +17,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .series import DatedSeries, sliding_mean
+from .series import DatedSeries, pooled_window_mean, sliding_mean
 
 __all__ = [
     "Article",
@@ -177,28 +177,9 @@ def daily_spread(polls: list[PollRecord], window_days: int = 7) -> DatedSeries:
     previous day's value forward; the series starts at the first day
     whose window is non-empty (the earliest poll date).
     """
-    if window_days < 1:
-        raise ValueError(f"window_days must be >= 1, got {window_days}")
     if not polls:
         raise ValueError("no poll records")
-    first = min(r.date for r in polls)
-    last = max(r.date for r in polls)
-    n = (last - first).days + 1
-    sums = np.zeros(n)
-    counts = np.zeros(n)
-    for r in polls:
-        i = (r.date - first).days
-        sums[i] += r.spread
-        counts[i] += 1
-    values = np.empty(n)
-    prev = 0.0
-    for i in range(n):
-        lo = max(0, i - window_days + 1)
-        c = counts[lo : i + 1].sum()
-        if c > 0:
-            prev = sums[lo : i + 1].sum() / c
-        values[i] = prev
-    return DatedSeries(first, values, label="poll_spread")
+    return pooled_window_mean(((r.date, r.spread) for r in polls), window_days, "poll_spread")
 
 
 def mention_counts(

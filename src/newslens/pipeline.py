@@ -1,8 +1,9 @@
 """End-to-end run: ingest, topics, sentiment, correlation, lead-lag tests.
 
-Stages are plain functions over a shared mutable RunState so the CLI can
-execute a prefix of the pipeline; ``run_pipeline`` chains them all and
-wraps stage failures in PipelineError naming the stage.
+Stages are plain functions over a shared mutable RunState, run in the
+order of STAGES.  ``run_pipeline(config, through=stage)`` runs the prefix
+ending at ``stage`` (all of them by default); a stage failure surfaces as
+a PipelineError naming the stage.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapResult, bootstrap_sb, bootstrap_stderr
+from .bootstrap import BootstrapResult, bootstrap_sb
 from .config import PipelineConfig
 from .corpus import Article, PollRecord, daily_spread, load_articles, load_polls, mention_counts
 from .sentiment import (
@@ -42,7 +43,9 @@ from .topics import (
 from .tsstats import GrangerResult, LagCorrelation, granger_scan, lagged_correlation_scan
 from .vectorize import build_vocabulary, load_stopwords, tfidf_matrix
 
-__all__ = ["PipelineError", "OutletResult", "ReportBundle", "RunState", "run_pipeline"]
+__all__ = ["STAGES", "PipelineError", "OutletResult", "ReportBundle", "RunState", "run_pipeline"]
+
+STAGES = ("ingest", "topics", "sentiment", "correlate", "causality")
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +75,6 @@ class OutletResult:
     sb_daily: DatedSeries | None = None
     sb_by_topic: list[SbStatistic | None] = field(default_factory=list)
     sb_bootstrap: BootstrapResult | None = None
-    sb_stderr: float | None = None
     mention_correlations: dict[str, list[LagCorrelation]] = field(default_factory=dict)
     topic_correlations: dict[int, list[LagCorrelation]] = field(default_factory=dict)
     granger: list[GrangerResult] = field(default_factory=list)
@@ -158,7 +160,7 @@ class ReportBundle:
                     "overall": _sb_dict(r.sb_overall),
                     "daily": _series_dict(r.sb_daily),
                     "per_topic": [_sb_dict(s) for s in r.sb_by_topic],
-                    "bootstrap": _bootstrap_dict(r.sb_bootstrap, r.sb_stderr),
+                    "bootstrap": _bootstrap_dict(r.sb_bootstrap),
                 },
                 "correlations": {
                     "mentions": {
@@ -200,7 +202,7 @@ def _sb_dict(sb: SbStatistic | None) -> dict | None:
     }
 
 
-def _bootstrap_dict(b: BootstrapResult | None, stderr: float | None) -> dict | None:
+def _bootstrap_dict(b: BootstrapResult | None) -> dict | None:
     if b is None:
         return None
     return {
@@ -208,7 +210,7 @@ def _bootstrap_dict(b: BootstrapResult | None, stderr: float | None) -> dict | N
         "ci_low": b.ci_low,
         "ci_high": b.ci_high,
         "p_sign": b.p_sign,
-        "stderr": stderr,
+        "stderr": b.stderr,
         "resamples": b.n_resamples,
         "level": b.level,
         "generator": b.generator,
@@ -322,9 +324,6 @@ def stage_sentiment(state: RunState) -> None:
         res.sb_bootstrap = bootstrap_sb(
             res.mentions, label_a, label_b, cfg.bootstrap_b, cfg.bootstrap_gamma, cfg.seed
         )
-        res.sb_stderr = bootstrap_stderr(
-            res.mentions, label_a, label_b, cfg.bootstrap_b, cfg.seed
-        )
 
 
 @_stage("correlate")
@@ -367,10 +366,18 @@ def stage_causality(state: RunState) -> None:
         ]
 
 
-def run_pipeline(config: PipelineConfig) -> ReportBundle:
-    """Run every stage and return the bundled results."""
+def run_pipeline(config: PipelineConfig, through: str = "causality") -> ReportBundle:
+    """Run the stages up to and including ``through``; return the results.
+
+    Fields that later stages fill stay empty.  An unknown stage name
+    raises ValueError.
+    """
+    if through not in STAGES:
+        raise ValueError(f"unknown stage {through!r}; expected one of {', '.join(STAGES)}")
     t0 = time.monotonic()
     state = RunState(config=config)
-    for stage in (stage_ingest, stage_topics, stage_sentiment, stage_correlate, stage_causality):
+    # Looked up at call time, so a wrapper patched over a stage_* name runs.
+    stages = (stage_ingest, stage_topics, stage_sentiment, stage_correlate, stage_causality)
+    for stage in stages[: STAGES.index(through) + 1]:
         stage(state)
     return ReportBundle(state=state, runtime_seconds=time.monotonic() - t0)

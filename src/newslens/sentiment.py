@@ -18,7 +18,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .corpus import Article, EntitySpec
-from .series import DatedSeries
+from .series import DatedSeries, pooled_window_mean
 from .vectorize import tokenize
 
 __all__ = [
@@ -395,7 +395,7 @@ def tally_mentions(
 
 
 def sentiment_bias(tally: SentimentTally) -> SbStatistic:
-    """Bias of coverage toward A over B, in [-2, 2].
+    """Bias of coverage toward A over B, in [-1, 1].
 
     (positive_A - negative_A - positive_B + negative_B) / total mentions,
     the total including neutral mentions of both entities.
@@ -436,28 +436,10 @@ def sb_series(
     Days whose window is empty carry the previous value forward; the
     series starts at the first day with a non-empty window.
     """
-    if window_days < 1:
-        raise ValueError(f"window_days must be >= 1, got {window_days}")
     if not mentions:
         raise ValueError("no mentions")
-    first = min(m.date for m in mentions)
-    last = max(m.date for m in mentions)
-    n = (last - first).days + 1
-    numer = np.zeros(n)
-    count = np.zeros(n)
-    for m in mentions:
-        i = (m.date - first).days
-        numer[i] += mention_value(m.entity, m.sentiment, label_a, label_b)
-        count[i] += 1
-    values = np.empty(n)
-    prev = 0.0
-    for i in range(n):
-        lo = max(0, i - window_days + 1)
-        c = count[lo : i + 1].sum()
-        if c > 0:
-            prev = numer[lo : i + 1].sum() / c
-        values[i] = prev
-    return DatedSeries(first, values, label="sentiment_bias")
+    pairs = ((m.date, mention_value(m.entity, m.sentiment, label_a, label_b)) for m in mentions)
+    return pooled_window_mean(pairs, window_days, "sentiment_bias")
 
 
 def per_topic_sb(

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
-__all__ = ["DatedSeries", "sliding_mean", "align", "align_lagged"]
+__all__ = ["DatedSeries", "sliding_mean", "pooled_window_mean", "align", "align_lagged"]
 
 _DAY = timedelta(days=1)
 
@@ -81,6 +82,41 @@ def sliding_mean(series: DatedSeries, window_days: int) -> DatedSeries:
     out = (csum[idx + 1] - csum[lo]) / (idx - lo + 1)
     return series.with_values(out)
 
+
+def pooled_window_mean(
+    pairs: Iterable[tuple[date, float]], window_days: int, label: str = ""
+) -> DatedSeries:
+    """Daily mean of dated values pooled over a trailing window.
+
+    Day d averages every value dated in (d - window_days, d].  Days whose
+    window holds no value carry the previous day's value forward; the
+    series runs from the earliest date to the latest.
+    """
+    if window_days < 1:
+        raise ValueError(f"window_days must be >= 1, got {window_days}")
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("no dated values to pool")
+    first = min(day for day, _ in pairs)
+    last = max(day for day, _ in pairs)
+    n = (last - first).days + 1
+    sums = np.zeros(n)
+    counts = np.zeros(n)
+    for day, value in pairs:
+        i = (day - first).days
+        sums[i] += value
+        counts[i] += 1
+    # Per-window slice sums, not cumsum differences: the latter round
+    # differently and would change published values in the last bits.
+    values = np.empty(n)
+    prev = 0.0
+    for i in range(n):
+        lo = max(0, i - window_days + 1)
+        c = counts[lo : i + 1].sum()
+        if c > 0:
+            prev = sums[lo : i + 1].sum() / c
+        values[i] = prev
+    return DatedSeries(first, values, label=label)
 
 def align(x: DatedSeries, y: DatedSeries) -> tuple[np.ndarray, np.ndarray]:
     """Value arrays of both series restricted to their common dates."""

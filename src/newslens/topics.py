@@ -179,6 +179,8 @@ def reconstruction_error(matrix, factors: NmfFactors) -> float:
 
 def top_keywords(factors: NmfFactors, k: int = 10) -> list[list[str]]:
     """Per topic, the k terms with the largest weight (ties alphabetical)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if factors.vocab is None:
         raise ValueError("factors carry no vocabulary")
     terms = factors.vocab.terms

@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from newslens.bootstrap import BootstrapResult, bootstrap_sb, bootstrap_stderr
+from newslens.bootstrap import BootstrapResult, bootstrap_sb
 from newslens.sentiment import MentionRecord
 
 
@@ -120,13 +120,14 @@ class TestBootstrapSb:
 
 class TestBootstrapStderr:
     def test_degenerate_is_zero(self):
-        assert bootstrap_stderr([("A", "positive")] * 15, "A", "B", 400, seed=3) == 0.0
+        res = bootstrap_sb([("A", "positive")] * 15, "A", "B", n_resamples=400, seed=3)
+        assert res.stderr == 0.0
 
     def test_matches_replayed_std(self):
         mentions = worked_mentions()
-        got = bootstrap_stderr(mentions, "A", "B", n_resamples=800, seed=17)
+        res = bootstrap_sb(mentions, "A", "B", n_resamples=800, seed=17)
         means = TestBootstrapSb.replay_means(mentions, 800, 17)
-        assert got == float(np.std(means, ddof=1))
+        assert res.stderr == float(np.std(means, ddof=1))
 
     def test_close_to_analytic_value(self):
         # mentions valued +1 with prob .45, -1 with .35, 0 with .2:
@@ -137,11 +138,7 @@ class TestBootstrapStderr:
             ("A", "positive") if v == 1 else ("A", "negative") if v == -1 else ("A", "neutral")
             for v in vals
         ]
-        got = bootstrap_stderr(mentions, "A", "B", n_resamples=3000, seed=23)
+        res = bootstrap_sb(mentions, "A", "B", n_resamples=3000, seed=23)
         var = vals.var()  # plug-in population variance of the sample
         analytic = math.sqrt(var / 1000)
-        assert got == pytest.approx(analytic, rel=0.10)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="no mentions"):
-            bootstrap_stderr([], "A", "B")
+        assert res.stderr == pytest.approx(analytic, rel=0.10)

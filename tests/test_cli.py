@@ -24,9 +24,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "config ok" in out
         assert "outlet_one" in out
+        assert not (run_dir / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = invoke("validate", "--config", str(tmp_path / "none.yaml"))
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_malformed_config_exits_2(self, run_dir, capsys):
+        (run_dir / "config.yaml").write_text("seed: [1, 2\n", encoding="utf-8")
+        rc = invoke("validate", "--config", str(run_dir / "config.yaml"))
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
@@ -83,6 +90,13 @@ class TestRun:
 
 
 class TestStageCommands:
+    def test_causality_and_run_write_identical_reports(self, run_dir, tmp_path):
+        cfg = str(run_dir / "config.yaml")
+        assert invoke("causality", "--config", cfg, "--out", str(tmp_path / "c")) == 0
+        assert invoke("run", "--config", cfg, "--out", str(tmp_path / "r")) == 0
+        report = (tmp_path / "c" / "report.json").read_bytes()
+        assert report == (tmp_path / "r" / "report.json").read_bytes()
+
     def test_topics_prints_keywords(self, run_dir, capsys):
         rc = invoke("topics", "--config", str(run_dir / "config.yaml"))
         assert rc == 0

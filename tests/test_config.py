@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,19 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="mapping"):
             load_config(p)
 
+    def test_yaml_syntax_error_names_file(self, tmp_path):
+        p = tmp_path / "config.yaml"
+        p.write_text("seed: [1, 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            load_config(p)
+
+    def test_non_scalar_value_names_file(self, tmp_path):
+        mapping = base_mapping(tmp_path)
+        mapping["seed"] = [1, 2]
+        p = write_yaml(tmp_path, mapping)
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            load_config(p)
+
     def test_entity_count_enforced(self, tmp_path):
         mapping = base_mapping(tmp_path)
         mapping["entities"] = mapping["entities"][:1]
@@ -185,6 +199,21 @@ class TestPipelineConfigValidation:
             PipelineConfig(**self.kwargs(tmp_path, bootstrap_gamma=1.5))
         with pytest.raises(ValueError, match="drop_topics"):
             PipelineConfig(**self.kwargs(tmp_path, drop_topics=(9,)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_perm", 0),
+            ("bootstrap_b", 0),
+            ("min_df", 0),
+            ("keywords_per_topic", -1),
+            ("membership_threshold", 0.0),
+            ("membership_threshold", 1.5),
+        ],
+    )
+    def test_stage_settings_rejected_at_load(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**self.kwargs(tmp_path, **{field: value}))
 
     def test_partial_lexicon_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="all four"):

@@ -5,6 +5,7 @@ import pytest
 
 from newslens.config import load_config
 from newslens.pipeline import (
+    STAGES,
     PipelineError,
     run_pipeline,
     stage_ingest,
@@ -39,11 +40,11 @@ class TestRunPipeline:
         assert set(res.mention_series) == {"Arden", "Briggs"}
         assert res.mentions
         assert res.sb_overall is not None
-        assert -2.0 <= res.sb_overall.value <= 2.0
+        assert -1.0 <= res.sb_overall.value <= 1.0
         assert res.sb_daily is not None
         assert res.sb_bootstrap is not None
         assert res.sb_bootstrap.ci_low <= res.sb_bootstrap.point <= res.sb_bootstrap.ci_high
-        assert res.sb_stderr is not None and res.sb_stderr >= 0.0
+        assert res.sb_bootstrap.stderr >= 0.0
         assert len(res.sb_by_topic) == len(res.coverage.topic_ids)
 
     def test_correlation_tables(self, run_bundle):
@@ -106,6 +107,39 @@ class TestStageErrors:
         assert state.outlets["outlet_one"].factors is None
         stage_topics(state)
         assert state.outlets["outlet_one"].factors is not None
+
+
+# OutletResult fields each stage fills
+STAGE_FIELDS = {
+    "topics": ("factors", "keywords", "coverage", "agenda"),
+    "sentiment": (
+        "mention_series", "mentions", "sb_overall", "sb_daily", "sb_by_topic", "sb_bootstrap",
+    ),
+    "correlate": ("mention_correlations", "topic_correlations"),
+    "causality": ("granger",),
+}
+
+
+class TestThrough:
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        return load_config(build_run_dir(tmp_path_factory.mktemp("through")))
+
+    @pytest.mark.parametrize("through", STAGES)
+    def test_prefix_leaves_later_fields_empty(self, config, through):
+        state = run_pipeline(config, through).state
+        assert state.spread is not None
+        res = state.outlets["outlet_one"]
+        done = STAGES[: STAGES.index(through) + 1]
+        for stage, names in STAGE_FIELDS.items():
+            for name in names:
+                value = getattr(res, name)
+                filled = value is not None and not (isinstance(value, (list, dict)) and not value)
+                assert filled == (stage in done), (through, name)
+
+    def test_unknown_stage_rejected(self, config):
+        with pytest.raises(ValueError, match="unknown stage 'bogus'"):
+            run_pipeline(config, "bogus")
 
 
 class TestEmitOutputs:

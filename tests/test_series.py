@@ -1,9 +1,9 @@
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from newslens.series import DatedSeries, align, align_lagged, sliding_mean
+from newslens.series import DatedSeries, align, align_lagged, pooled_window_mean, sliding_mean
 
 START = date(2021, 3, 1)
 
@@ -81,6 +81,54 @@ class TestSlidingMean:
         s = DatedSeries(START, [1.0])
         with pytest.raises(ValueError):
             sliding_mean(s, 0)
+
+
+def slice_sum_reference(pairs, window_days):
+    """The per-day binning and carry-forward loop, written out as the oracle."""
+    first = min(d for d, _ in pairs)
+    n = (max(d for d, _ in pairs) - first).days + 1
+    sums = np.zeros(n)
+    counts = np.zeros(n)
+    for d, v in pairs:
+        sums[(d - first).days] += v
+        counts[(d - first).days] += 1
+    values = np.empty(n)
+    prev = 0.0
+    for i in range(n):
+        lo = max(0, i - window_days + 1)
+        c = counts[lo : i + 1].sum()
+        if c > 0:
+            prev = sums[lo : i + 1].sum() / c
+        values[i] = prev
+    return first, values
+
+
+class TestPooledWindowMean:
+    def test_hand_case_carries_forward(self):
+        pairs = [(START, 1.0), (START, 3.0), (START + timedelta(days=4), 6.0)]
+        out = pooled_window_mean(pairs, 2, label="x")
+        assert out.start == START and out.label == "x"
+        assert out.values.tolist() == [2.0, 2.0, 2.0, 2.0, 6.0]
+
+    @pytest.mark.parametrize("window_days", [1, 3, 7, 15])
+    def test_matches_slice_sum_loop_bit_for_bit(self, window_days):
+        rng = np.random.default_rng(window_days)
+        for _ in range(20):
+            # steps of 0 (same day) up to well past the window leave gaps
+            steps = rng.integers(0, 2 * window_days + 3, size=int(rng.integers(1, 80)))
+            days = [START + timedelta(days=int(k)) for k in np.cumsum(steps)]
+            pairs = [(d, float(v)) for d, v in zip(days, rng.normal(0, 10, size=len(days)))]
+            rng.shuffle(pairs)
+            first, expected = slice_sum_reference(pairs, window_days)
+            out = pooled_window_mean(iter(pairs), window_days)
+            assert out.start == first
+            assert out.values.tobytes() == expected.tobytes()
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="window_days"):
+            pooled_window_mean([(START, 1.0)], 0)
+        with pytest.raises(ValueError, match="no dated values"):
+            pooled_window_mean([], 3)
 
 
 class TestAlign:

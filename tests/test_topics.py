@@ -170,6 +170,12 @@ class TestTopKeywords:
         factors = self.make_factors(w, terms)
         assert top_keywords(factors, k=2) == [["aa", "bb"], ["cc", "bb"]]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        factors = self.make_factors(np.array([[3.0, 2.0, 1.0]]), ("aa", "bb", "cc"))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_keywords(factors, k=k)
+
     def test_requires_vocabulary(self):
         factors = nmf_factorize(np.ones((3, 3)), n_topics=1, seed=0)
         with pytest.raises(ValueError, match="vocabulary"):

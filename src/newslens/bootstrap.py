@@ -85,8 +85,8 @@ def bootstrap_sb(
     """
     if not mentions:
         raise ValueError("no mentions to resample")
-    if n_resamples < 1:
-        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    if n_resamples < 2:
+        raise ValueError(f"n_resamples must be >= 2 for a standard error, got {n_resamples}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     vals = _values(mentions, label_a, label_b)

@@ -63,9 +63,10 @@ class PipelineConfig:
             raise ValueError(f"config: max_lag must be >= 0, got {self.max_lag}")
         if not 0.0 < self.bootstrap_gamma < 1.0:
             raise ValueError(f"config: bootstrap level must be in (0, 1), got {self.bootstrap_gamma}")
-        for name in ("min_df", "keywords_per_topic", "n_perm", "bootstrap_b"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"config: {name} must be >= 1, got {getattr(self, name)}")
+        lows = {"min_df": 1, "keywords_per_topic": 1, "n_perm": 1, "bootstrap_b": 2}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"config: {name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 < self.membership_threshold <= 1.0:
             raise ValueError(
                 f"config: membership_threshold must be in (0, 1], got {self.membership_threshold}"
@@ -119,15 +120,18 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     for ent in entities_raw:
         if not isinstance(ent, dict) or "label" not in ent or "aliases" not in ent:
             raise ValueError(f"{path}: each entity needs 'label' and 'aliases'")
-        aliases = ent["aliases"]
-        if isinstance(aliases, str):
-            aliases = [aliases]
+        aliases = [ent["aliases"]] if isinstance(ent["aliases"], str) else ent["aliases"]
+        if not isinstance(aliases, list):
+            raise ValueError(f"{path}: entity 'aliases' must be a string or a list")
         entities.append(EntitySpec(label=str(ent["label"]), aliases=tuple(str(a) for a in aliases)))
 
-    topics = raw.get("topics", {}) or {}
-    analysis = raw.get("analysis", {}) or {}
-    boot = raw.get("bootstrap", {}) or {}
-    senti = raw.get("sentiment", {}) or {}
+    def section(key: str) -> dict:
+        value = raw.get(key)
+        if value is not None and not isinstance(value, dict):
+            raise ValueError(f"{path}: {key!r} must be a mapping, got {type(value).__name__}")
+        return value or {}
+
+    topics, analysis, boot, senti = map(section, ("topics", "analysis", "bootstrap", "sentiment"))
 
     def opt_path(section: dict, key: str) -> Path | None:
         v = section.get(key)

@@ -1,4 +1,4 @@
-"""Corpus and poll ingestion.
+"""Corpus and poll ingestion, and the text rules behind ``Article.tokens`` and ``.sentences``.
 
 Articles arrive as line-delimited JSON (one object per line with keys
 id, outlet, date, title, body); polls as a CSV with columns
@@ -11,15 +11,19 @@ import csv
 import json
 import logging
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 
 import numpy as np
 
 from .series import DatedSeries, pooled_window_mean, sliding_mean
 
 __all__ = [
+    "tokenize",
+    "split_sentences",
     "Article",
     "EntitySpec",
     "PollRecord",
@@ -34,6 +38,74 @@ log = logging.getLogger(__name__)
 _DAY = timedelta(days=1)
 _ARTICLE_KEYS = {"id", "outlet", "date", "title", "body"}
 
+# Unicode-aware alphabetic runs: letters only, no digits or underscore.
+_TOKEN_RE = re.compile(r"[^\W\d_]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased alphabetic tokens of length >= 2, in input order.
+
+    Text is NFC-normalized first; digits and punctuation split tokens,
+    so "e-mail server 2016" yields ["mail", "server"].
+    """
+    normalized = unicodedata.normalize("NFC", text).lower()
+    return [t for t in _TOKEN_RE.findall(normalized) if len(t) >= 2]
+
+
+_ABBREVIATIONS = frozenset(
+    """
+    mr mrs ms dr prof rev fr sen rep gov pres gen lt col sgt maj capt cmdr adm
+    st ave blvd rd jr sr inc corp ltd co llc dept univ assn bros
+    vs etc al eg ie cf ca approx est
+    jan feb mar apr jun jul aug sep sept oct nov dec
+    mon tue tues wed thu thurs fri sat sun
+    no fig eq vol pp op cit
+    """.split()
+)
+
+_TERMINATOR_RE = re.compile(r"[.!?]+")
+
+
+def _word_before(text: str, pos: int) -> str:
+    i = pos
+    while i > 0 and text[i - 1].isalpha():
+        i -= 1
+    return text[i:pos]
+
+
+def split_sentences(text: str) -> list[str]:
+    """Split on ., !, ? followed by whitespace and an uppercase letter.
+
+    A period after a known abbreviation (Mr., Dr., vs., ...) or after a
+    single letter (initials) does not end a sentence.  Sentences are
+    slices of the input, stripped, so joining them reproduces the input
+    up to whitespace.
+    """
+    n = len(text)
+    bounds: list[int] = []
+    for m in _TERMINATOR_RE.finditer(text):
+        j = m.end()
+        if j >= n or not text[j].isspace():
+            continue
+        k = j
+        while k < n and text[k].isspace():
+            k += 1
+        if k >= n or not text[k].isupper():
+            continue
+        if "." in m.group():
+            word = _word_before(text, m.start())
+            if word and (word.lower() in _ABBREVIATIONS or len(word) == 1):
+                continue
+        bounds.append(j)
+    out = []
+    start = 0
+    for b in bounds + [n]:
+        piece = text[start:b].strip()
+        if piece:
+            out.append(piece)
+        start = b
+    return out
+
 
 @dataclass(frozen=True)
 class Article:
@@ -44,6 +116,17 @@ class Article:
     date: date
     title: str
     body: str
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """``tokenize(title + "\\n" + body)``, kept after first use; interned to share strings."""
+        return tuple(sys.intern(t) for t in tokenize(self.title + "\n" + self.body))
+
+    @property
+    def sentences(self) -> list[str]:
+        """Title (when non-blank) as sentence 0, then the body's; not kept, to save memory."""
+        title = self.title.strip()
+        return ([title] if title else []) + split_sentences(self.body)
 
 
 @dataclass(frozen=True)
@@ -184,25 +267,27 @@ def daily_spread(polls: list[PollRecord], window_days: int = 7) -> DatedSeries:
 
 def mention_counts(
     articles: list[Article],
-    entity: EntitySpec,
+    entities: tuple[EntitySpec, ...],
     window_days: int = 7,
-) -> DatedSeries:
-    """Smoothed daily count of sentences that name the entity.
+) -> dict[str, DatedSeries]:
+    """Smoothed daily count of sentences that name each entity, by label.
 
-    The title counts as one sentence; body sentences come from the
-    sentence splitter.  Days without articles contribute zero.  The raw
-    counts are smoothed with a trailing ``window_days`` mean.
+    Sentences are ``Article.sentences``, read once per article for all
+    entities.  Days without articles contribute zero.  The raw counts are
+    smoothed with a trailing ``window_days`` mean.
     """
-    from .sentiment import article_sentences
-
     if not articles:
         raise ValueError("no articles")
     first = min(a.date for a in articles)
     last = max(a.date for a in articles)
-    n = (last - first).days + 1
-    raw = np.zeros(n)
+    raw = np.zeros((len(entities), (last - first).days + 1))
     for art in articles:
-        hits = sum(1 for s in article_sentences(art) if entity.matches(s))
-        raw[(art.date - first).days] += hits
-    series = DatedSeries(first, raw, label=f"mentions_{entity.label}")
-    return sliding_mean(series, window_days)
+        day = (art.date - first).days
+        for sent in art.sentences:
+            for i, entity in enumerate(entities):
+                if entity.matches(sent):
+                    raw[i, day] += 1
+    return {
+        e.label: sliding_mean(DatedSeries(first, raw[i], label=f"mentions_{e.label}"), window_days)
+        for i, e in enumerate(entities)
+    }

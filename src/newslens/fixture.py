@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .vectorize import tokenize
+from .corpus import tokenize
 
 __all__ = ["FixtureSpec", "generate_fixture"]
 

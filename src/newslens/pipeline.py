@@ -303,8 +303,7 @@ def stage_sentiment(state: RunState) -> None:
     label_a, label_b = cfg.entities[0].label, cfg.entities[1].label
     for outlet, arts in sorted(state.articles.items()):
         res = state.outlets[outlet]
-        for ent in cfg.entities:
-            res.mention_series[ent.label] = mention_counts(arts, ent, cfg.window_days)
+        res.mention_series = mention_counts(arts, cfg.entities, cfg.window_days)
         res.mentions = mention_records(arts, cfg.entities, state.lexicon, state.labels)
         if not res.mentions:
             raise ValueError(f"outlet {outlet}: no entity mentions extracted")

@@ -60,7 +60,7 @@ def emit_outputs(bundle: ReportBundle, out_dir) -> dict:
 
         report_path = out / "report.json"
         report_path.write_text(
-            json.dumps(bundle.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(bundle.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
             encoding="utf-8",
         )
         written.append(report_path)
@@ -140,7 +140,8 @@ def emit_outputs(bundle: ReportBundle, out_dir) -> dict:
             "runtime_seconds": bundle.runtime_seconds,
         }
         (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
+            encoding="utf-8",
         )
         return manifest
     except Exception:

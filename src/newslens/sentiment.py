@@ -17,17 +17,14 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .corpus import Article, EntitySpec
+from .corpus import Article, EntitySpec, tokenize
 from .series import DatedSeries, pooled_window_mean
-from .vectorize import tokenize
 
 __all__ = [
     "SENTIMENT_CLASSES",
     "Lexicon",
     "load_lexicon",
     "default_lexicon",
-    "split_sentences",
-    "article_sentences",
     "score_sentence",
     "extract_mentions",
     "MentionRecord",
@@ -123,69 +120,6 @@ def default_lexicon() -> Lexicon:
     )
 
 
-# --- sentence splitting ---------------------------------------------------
-
-_ABBREVIATIONS = frozenset(
-    """
-    mr mrs ms dr prof rev fr sen rep gov pres gen lt col sgt maj capt cmdr adm
-    st ave blvd rd jr sr inc corp ltd co llc dept univ assn bros
-    vs etc al eg ie cf ca approx est
-    jan feb mar apr jun jul aug sep sept oct nov dec
-    mon tue tues wed thu thurs fri sat sun
-    no fig eq vol pp op cit
-    """.split()
-)
-
-_TERMINATOR_RE = re.compile(r"[.!?]+")
-
-
-def _word_before(text: str, pos: int) -> str:
-    i = pos
-    while i > 0 and text[i - 1].isalpha():
-        i -= 1
-    return text[i:pos]
-
-
-def split_sentences(text: str) -> list[str]:
-    """Split on ., !, ? followed by whitespace and an uppercase letter.
-
-    A period after a known abbreviation (Mr., Dr., vs., ...) or after a
-    single letter (initials) does not end a sentence.  Sentences are
-    slices of the input, stripped, so joining them reproduces the input
-    up to whitespace.
-    """
-    n = len(text)
-    bounds: list[int] = []
-    for m in _TERMINATOR_RE.finditer(text):
-        j = m.end()
-        if j >= n or not text[j].isspace():
-            continue
-        k = j
-        while k < n and text[k].isspace():
-            k += 1
-        if k >= n or not text[k].isupper():
-            continue
-        if "." in m.group():
-            word = _word_before(text, m.start())
-            if word and (word.lower() in _ABBREVIATIONS or len(word) == 1):
-                continue
-        bounds.append(j)
-    out = []
-    start = 0
-    for b in bounds + [n]:
-        piece = text[start:b].strip()
-        if piece:
-            out.append(piece)
-        start = b
-    return out
-
-
-def article_sentences(article: Article) -> list[str]:
-    """Title (when non-blank) as one sentence, then the body's sentences."""
-    head = [article.title.strip()] if article.title.strip() else []
-    return head + split_sentences(article.body)
-
-
 # --- rule scorer ----------------------------------------------------------
 
 def score_sentence(text: str, lexicon: Lexicon) -> str:
@@ -239,7 +173,7 @@ def extract_mentions(
     attributed to the entities it names.
     """
     out: list[tuple[int, EntitySpec, str]] = []
-    for idx, sent in enumerate(article_sentences(article)):
+    for idx, sent in enumerate(article.sentences):
         named = [e for e in entities if e.matches(sent)]
         if len(named) == 1:
             out.append((idx, named[0], sent))

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .corpus import Article
 from .series import DatedSeries, sliding_mean
-from .vectorize import DocTermMatrix, Vocabulary, _article_tokens
+from .vectorize import DocTermMatrix, Vocabulary
 
 __all__ = [
     "NmfFactors",
@@ -252,7 +252,7 @@ def topic_weight_series(
     raw = np.zeros((factors.n_topics, n_days))
     for j, art in enumerate(used):
         d = (art.date - first).days
-        length = len(_article_tokens(art))
+        length = len(art.tokens)
         raw[:, d] += length * factors.H[j, :]
 
     raw_series = tuple(

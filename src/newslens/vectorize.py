@@ -1,11 +1,11 @@
-"""Tokenization, vocabulary construction, and tf-idf document vectors."""
+"""Vocabulary construction and tf-idf document vectors over ``Article.tokens``."""
 
 from __future__ import annotations
 
 import logging
 import math
-import re
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -15,7 +15,6 @@ import scipy.sparse as sp
 from .corpus import Article
 
 __all__ = [
-    "tokenize",
     "load_stopwords",
     "Vocabulary",
     "build_vocabulary",
@@ -24,20 +23,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Unicode-aware alphabetic runs: letters only, no digits or underscore.
-_TOKEN_RE = re.compile(r"[^\W\d_]+")
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercased alphabetic tokens of length >= 2, in input order.
-
-    Text is NFC-normalized first; digits and punctuation split tokens,
-    so "e-mail server 2016" yields ["mail", "server"].
-    """
-    normalized = unicodedata.normalize("NFC", text).lower()
-    return [t for t in _TOKEN_RE.findall(normalized) if len(t) >= 2]
-
 
 def load_stopwords(path) -> frozenset[str]:
     """One term per line; blank lines and lines starting with # are skipped."""
@@ -49,10 +34,6 @@ def load_stopwords(path) -> frozenset[str]:
                 continue
             terms.add(unicodedata.normalize("NFC", term).lower())
     return frozenset(terms)
-
-
-def _article_tokens(article: Article) -> list[str]:
-    return tokenize(article.title + "\n" + article.body)
 
 
 @dataclass(frozen=True)
@@ -78,8 +59,8 @@ def build_vocabulary(
 ) -> Vocabulary:
     """Terms appearing in >= min_df documents, minus stopwords, sorted.
 
-    Document frequency counts each article once per unique term, over the
-    concatenated title and body.
+    Document frequency counts each article once per unique term of
+    ``Article.tokens``.
     """
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
@@ -87,7 +68,7 @@ def build_vocabulary(
         raise ValueError("no articles")
     df: Counter[str] = Counter()
     for art in articles:
-        df.update(set(_article_tokens(art)))
+        df.update(set(art.tokens))
     terms = sorted(t for t, c in df.items() if c >= min_df and t not in stopwords)
     if not terms:
         raise ValueError("vocabulary is empty after min_df and stopword filtering")
@@ -127,25 +108,19 @@ def tfidf_matrix(articles: list[Article], vocab: Vocabulary) -> DocTermMatrix:
     if not articles:
         raise ValueError("no articles")
     ordered = sorted(articles, key=lambda a: a.id)
-    token_lists = {a.id: _article_tokens(a) for a in ordered}
 
     df = np.zeros(len(vocab))
-    for toks in token_lists.values():
-        for term in set(toks):
-            j = vocab.index.get(term)
-            if j is not None:
-                df[j] += 1
+    for art in ordered:
+        df[[vocab.index[t] for t in set(art.tokens) if t in vocab.index]] += 1
     n_docs = len(ordered)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
+    # Typed arrays: lists of Python numbers would take about four times the
+    # memory, which stays with the process through the NMF that follows.
+    rows, cols, data = array("q"), array("q"), array("d")
     doc_ids: list[str] = []
     for art in ordered:
-        counts = Counter(
-            vocab.index[t] for t in token_lists[art.id] if t in vocab.index
-        )
+        counts = Counter(vocab.index[t] for t in art.tokens if t in vocab.index)
         if not counts:
             log.warning("article %s has no vocabulary terms; row dropped", art.id)
             continue

@@ -103,8 +103,9 @@ class TestBootstrapSb:
     def test_validation(self):
         with pytest.raises(ValueError, match="no mentions"):
             bootstrap_sb([], "A", "B")
-        with pytest.raises(ValueError, match="n_resamples"):
-            bootstrap_sb(worked_mentions(), "A", "B", n_resamples=0)
+        for n_resamples in (0, 1):  # one resample has no standard error
+            with pytest.raises(ValueError, match="n_resamples"):
+                bootstrap_sb(worked_mentions(), "A", "B", n_resamples=n_resamples)
         with pytest.raises(ValueError, match="level"):
             bootstrap_sb(worked_mentions(), "A", "B", level=1.0)
 

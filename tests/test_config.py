@@ -205,15 +205,32 @@ class TestPipelineConfigValidation:
         [
             ("n_perm", 0),
             ("bootstrap_b", 0),
+            ("bootstrap_b", 1),
             ("min_df", 0),
             ("keywords_per_topic", -1),
             ("membership_threshold", 0.0),
             ("membership_threshold", 1.5),
+            # config-file sections and entity aliases of the wrong type
+            ("topics", 5),
+            ("analysis", 5),
+            ("bootstrap", [1]),
+            ("sentiment", "x"),
+            ("aliases", 5),
         ],
     )
     def test_stage_settings_rejected_at_load(self, tmp_path, field, value):
-        with pytest.raises(ValueError, match=field):
-            PipelineConfig(**self.kwargs(tmp_path, **{field: value}))
+        mapping, overrides = base_mapping(tmp_path), {}
+        if field in PipelineConfig.__dataclass_fields__:
+            overrides[field] = value
+        elif field == "aliases":
+            mapping["entities"][0]["aliases"] = value
+        else:
+            mapping[field] = value
+        p = write_yaml(tmp_path, mapping)
+        with pytest.raises(ValueError, match=field) as exc_info:
+            load_config(p, overrides)
+        if not overrides:
+            assert str(p) in str(exc_info.value)
 
     def test_partial_lexicon_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="all four"):

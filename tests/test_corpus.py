@@ -11,6 +11,7 @@ from newslens.corpus import (
     load_articles,
     load_polls,
     mention_counts,
+    tokenize,
 )
 
 from conftest import article_row, make_article, write_articles
@@ -223,38 +224,72 @@ class TestDailySpread:
         assert s.values[1] == pytest.approx(7.0)
 
 
+class TestArticleSentences:
+    def test_title_is_sentence_zero(self):
+        art = make_article(title="Big news", body="First thing. Second thing.")
+        assert art.sentences == ["Big news", "First thing.", "Second thing."]
+
+    def test_blank_title_skipped(self):
+        art = make_article(title="  ", body="Only thing.")
+        assert art.sentences == ["Only thing."]
+
+
+class TestArticleTokens:
+    def test_tokens_of_title_and_body(self):
+        # the newline keeps "vote" and "Arden" apart
+        art = make_article(title="Harbor-tunnel vote", body="Arden won.\nCafé 2016 opened.")
+        assert art.tokens == tuple(tokenize(art.title + "\n" + art.body))
+
+    def test_tokens_kept_and_interned(self):
+        a, b = make_article(id="a1"), make_article(id="a2")
+        assert a.tokens is a.tokens
+        assert all(x is y for x, y in zip(a.tokens, b.tokens))
+
+
 class TestMentionCounts:
     def test_counts_sentences_and_title(self, entity_pair):
-        arden = entity_pair[0]
         art = make_article(
             body="Arden spoke. Arden smiled. Briggs watched.",
             title="Arden at the rally",
         )
-        s = mention_counts([art], arden, window_days=1)
-        assert s.values[0] == 3.0  # title + two body sentences
+        s = mention_counts([art], entity_pair, window_days=1)
+        assert set(s) == {"Arden", "Briggs"}
+        assert s["Arden"].values[0] == 3.0  # title + two body sentences
+        assert s["Briggs"].values[0] == 1.0
+        assert s["Arden"].label == "mentions_Arden"
+
+    def test_each_entity_matches_counting_it_alone(self, entity_pair):
+        arts = [
+            make_article(id="a1", body="Arden and Briggs met. Briggs left.", title="Talks"),
+            make_article(id="a2", day=date(2021, 3, 3), body="Nobody spoke. Arden waved."),
+        ]
+        both = mention_counts(arts, entity_pair, window_days=2)
+        for entity in entity_pair:
+            alone = mention_counts(arts, (entity,), window_days=2)[entity.label]
+            assert both[entity.label].start == alone.start
+            assert np.array_equal(both[entity.label].values, alone.values)
 
     def test_additive_over_partition(self, entity_pair):
-        arden = entity_pair[0]
         arts = [
             make_article(id=f"a{i}", day=date(2021, 3, 1 + i % 3))
             for i in range(12)
         ]
-        whole = mention_counts(arts, arden, window_days=1)
-        part1 = mention_counts(arts[:5], arden, window_days=1)
-        part2 = mention_counts(arts[5:], arden, window_days=1)
+        whole = mention_counts(arts, entity_pair, window_days=1)
+        part1 = mention_counts(arts[:5], entity_pair, window_days=1)
+        part2 = mention_counts(arts[5:], entity_pair, window_days=1)
 
-        total = np.zeros(len(whole))
-        for part in (part1, part2):
-            off = (part.start - whole.start).days
-            total[off : off + len(part)] += part.values
-        assert np.allclose(whole.values, total)
+        for label, series in whole.items():
+            total = np.zeros(len(series))
+            for part in (part1[label], part2[label]):
+                off = (part.start - series.start).days
+                total[off : off + len(part)] += part.values
+            assert np.allclose(series.values, total)
 
     def test_zero_days_in_span(self, entity_pair):
-        arden = entity_pair[0]
         arts = [
             make_article(id="a1", day=date(2021, 3, 1)),
             make_article(id="a2", day=date(2021, 3, 4)),
         ]
-        s = mention_counts(arts, arden, window_days=1)
+        s = mention_counts(arts, entity_pair, window_days=1)["Arden"]
         assert len(s) == 4
         assert s.values[1] == 0.0 and s.values[2] == 0.0

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import newslens.corpus as corpus
 from newslens.config import load_config
 from newslens.pipeline import (
     STAGES,
@@ -81,6 +83,33 @@ class TestRunPipeline:
         assert len(outlet["topics"]["keywords"][0]) == 10
         for cell in outlet["granger"]:
             assert cell["significant"] == (cell["p_value"] < 0.01)
+
+
+class TestParseOnce:
+    @pytest.fixture()
+    def config(self, tmp_path):
+        return load_config(build_run_dir(tmp_path))
+
+    def counted(self, monkeypatch, name):
+        calls = []
+        real = getattr(corpus, name)
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(corpus, name, counting)
+        return calls
+
+    def test_topics_tokenize_each_article_once(self, config, monkeypatch):
+        calls = self.counted(monkeypatch, "tokenize")
+        state = run_pipeline(config, through="topics").state
+        assert len(calls) == state.outlets["outlet_one"].n_articles
+
+    def test_sentiment_splits_each_article_at_most_twice(self, config, monkeypatch):
+        calls = self.counted(monkeypatch, "split_sentences")
+        state = run_pipeline(config, through="sentiment").state
+        assert 0 < len(calls) <= 2 * state.outlets["outlet_one"].n_articles
 
 
 class TestStageErrors:
@@ -216,6 +245,20 @@ class TestEmitOutputs:
         manifest = emit_outputs(bundle, tmp_path / "out")
         listed = {f["path"] for f in manifest["files"]}
         assert "series/mentions_outlet_one.csv" in listed
+
+    @pytest.mark.parametrize("where", ["report", "manifest"])
+    def test_non_finite_value_rejected(self, tmp_path, where):
+        bundle = run_pipeline(load_config(build_run_dir(tmp_path)), through="sentiment")
+        if where == "report":
+            res = bundle.state.outlets["outlet_one"]
+            res.sb_bootstrap = dataclasses.replace(res.sb_bootstrap, stderr=float("nan"))
+        else:
+            bundle.runtime_seconds = float("nan")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="JSON"):
+            emit_outputs(bundle, out)
+        assert not (out / "report.json").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_partial_outputs_removed_on_failure(self, run_bundle, tmp_path, monkeypatch):
         import newslens.report as report_mod

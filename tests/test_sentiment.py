@@ -4,11 +4,10 @@ from datetime import date
 import numpy as np
 import pytest
 
-from newslens.corpus import EntitySpec
+from newslens.corpus import EntitySpec, split_sentences
 from newslens.sentiment import (
     Lexicon,
     MentionRecord,
-    article_sentences,
     default_lexicon,
     extract_mentions,
     load_labels,
@@ -19,7 +18,6 @@ from newslens.sentiment import (
     sb_series,
     score_sentence,
     sentiment_bias,
-    split_sentences,
     tally_mentions,
 )
 from newslens.topics import NmfFactors
@@ -153,16 +151,6 @@ class TestSplitSentences:
     def test_empty_and_whitespace(self):
         assert split_sentences("") == []
         assert split_sentences("   ") == []
-
-
-class TestArticleSentences:
-    def test_title_is_sentence_zero(self):
-        art = make_article(title="Big news", body="First thing. Second thing.")
-        assert article_sentences(art) == ["Big news", "First thing.", "Second thing."]
-
-    def test_blank_title_skipped(self):
-        art = make_article(title="  ", body="Only thing.")
-        assert article_sentences(art) == ["Only thing."]
 
 
 class TestScoreSentence:

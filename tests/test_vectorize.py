@@ -4,12 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from newslens.corpus import tokenize
 from newslens.vectorize import (
     Vocabulary,
     build_vocabulary,
     load_stopwords,
     tfidf_matrix,
-    tokenize,
 )
 
 from conftest import make_article

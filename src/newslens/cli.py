@@ -26,8 +26,6 @@ from .fixture import FixtureSpec, generate_fixture
 from .pipeline import PipelineError, RunState, run_pipeline
 from .report import emit_outputs
 
-log = logging.getLogger(__name__)
-
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML or JSON config file")

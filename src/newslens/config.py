@@ -14,6 +14,15 @@ from .topics import NORMALIZATION_MODES
 __all__ = ["PipelineConfig", "load_config"]
 
 
+class _RangeError(ValueError):
+    """A PipelineConfig field outside its range; ``field`` names it."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"config: {field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a pipeline run needs, with resolved paths."""
@@ -54,32 +63,58 @@ class PipelineConfig:
         if shared:
             raise ValueError(f"config: entities share aliases {sorted(shared)}")
         if self.n_topics < 2:
-            raise ValueError(f"config: n_topics must be >= 2, got {self.n_topics}")
+            raise _RangeError("n_topics", f"must be >= 2, got {self.n_topics}")
         if self.normalization not in NORMALIZATION_MODES:
-            raise ValueError(f"config: unknown normalization {self.normalization!r}")
-        if self.window_days < 1:
-            raise ValueError(f"config: window_days must be >= 1, got {self.window_days}")
-        if self.max_lag < 0:
-            raise ValueError(f"config: max_lag must be >= 0, got {self.max_lag}")
-        if not 0.0 < self.bootstrap_gamma < 1.0:
-            raise ValueError(f"config: bootstrap level must be in (0, 1), got {self.bootstrap_gamma}")
-        lows = {"min_df": 1, "keywords_per_topic": 1, "n_perm": 1, "bootstrap_b": 2}
+            raise _RangeError(
+                "normalization",
+                f"must be one of {', '.join(NORMALIZATION_MODES)}, got {self.normalization!r}",
+            )
+        lows = {
+            "window_days": 1, "max_lag": 0, "min_df": 1, "keywords_per_topic": 1,
+            "n_perm": 1, "bootstrap_b": 2,
+        }
         for name, low in lows.items():
             if getattr(self, name) < low:
-                raise ValueError(f"config: {name} must be >= {low}, got {getattr(self, name)}")
+                raise _RangeError(name, f"must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.bootstrap_gamma < 1.0:
+            raise _RangeError("bootstrap_gamma", f"must be in (0, 1), got {self.bootstrap_gamma}")
         if not 0.0 < self.membership_threshold <= 1.0:
-            raise ValueError(
-                f"config: membership_threshold must be in (0, 1], got {self.membership_threshold}"
+            raise _RangeError(
+                "membership_threshold", f"must be in (0, 1], got {self.membership_threshold}"
             )
         bad = [i for i in self.drop_topics if not 0 <= i < self.n_topics]
         if bad:
-            raise ValueError(f"config: drop_topics {bad} outside [0, {self.n_topics})")
+            raise _RangeError("drop_topics", f"{bad} outside [0, {self.n_topics})")
         lex_parts = [self.lexicon, self.negators, self.intensifiers, self.diminishers]
         if any(p is not None for p in lex_parts) and not all(p is not None for p in lex_parts):
             raise ValueError(
                 "config: a custom lexicon needs all four files "
                 "(lexicon, negators, intensifiers, diminishers)"
             )
+
+
+# PipelineConfig fields read from a config-file section (None: the top
+# level) and key; fields absent from the file keep their defaults.
+_SETTINGS = {
+    "seed": (None, "seed", int),
+    "n_topics": ("topics", "count", int),
+    "drop_topics": ("topics", "drop", lambda v: tuple(int(i) for i in v or [])),
+    "normalization": ("topics", "normalization", str),
+    "min_df": ("topics", "min_df", int),
+    "keywords_per_topic": ("topics", "keywords", int),
+    "window_days": (None, "window_days", int),
+    "max_lag": ("analysis", "max_lag", int),
+    "n_perm": ("analysis", "permutations", int),
+    "bootstrap_b": ("bootstrap", "samples", int),
+    "bootstrap_gamma": ("bootstrap", "level", float),
+    "membership_threshold": ("sentiment", "membership_threshold", float),
+    "min_topic_mentions": ("sentiment", "min_topic_mentions", int),
+}
+
+
+def _file_key(field: str) -> str:
+    section, key, _ = _SETTINGS[field]
+    return key if section is None else f"{section}.{key}"
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -131,43 +166,39 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
             raise ValueError(f"{path}: {key!r} must be a mapping, got {type(value).__name__}")
         return value or {}
 
-    topics, analysis, boot, senti = map(section, ("topics", "analysis", "bootstrap", "sentiment"))
+    sections = {key: section(key) for key in ("topics", "analysis", "bootstrap", "sentiment")}
+    sections[None] = raw
+    senti = sections["sentiment"]
 
     def opt_path(section: dict, key: str) -> Path | None:
         v = section.get(key)
         return resolve(v) if v is not None else None
 
     polls = resolve(_require(raw, "polls", str(path)))
-    seed = _require(raw, "seed", str(path))
+    _require(raw, "seed", str(path))
+    settings = {}
+    for field, (name, key, cast) in _SETTINGS.items():
+        if key in sections[name]:
+            try:
+                settings[field] = cast(sections[name][key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: bad value for {_file_key(field)}: {exc}") from exc
     try:
-        kwargs = dict(
+        cfg = PipelineConfig(
             articles=articles,
             polls=polls,
             entities=tuple(entities),
-            seed=int(seed),
             out_dir=resolve(raw.get("output", "out")),
-            n_topics=int(topics.get("count", 6)),
-            drop_topics=tuple(int(i) for i in topics.get("drop", []) or []),
-            normalization=str(topics.get("normalization", "per_day_share")),
-            min_df=int(topics.get("min_df", 2)),
-            window_days=int(raw.get("window_days", 7)),
-            max_lag=int(analysis.get("max_lag", 20)),
-            n_perm=int(analysis.get("permutations", 10000)),
-            bootstrap_b=int(boot.get("samples", 10000)),
-            bootstrap_gamma=float(boot.get("level", 0.95)),
-            membership_threshold=float(senti.get("membership_threshold", 0.34)),
-            min_topic_mentions=int(senti.get("min_topic_mentions", 30)),
-            keywords_per_topic=int(topics.get("keywords", 10)),
             stopwords=opt_path(raw, "stopwords"),
             lexicon=opt_path(senti, "lexicon"),
             negators=opt_path(senti, "negators"),
             intensifiers=opt_path(senti, "intensifiers"),
             diminishers=opt_path(senti, "diminishers"),
             labels=opt_path(senti, "labels"),
+            **settings,
         )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad setting value: {exc}") from exc
-    cfg = PipelineConfig(**kwargs)
+    except _RangeError as exc:
+        raise ValueError(f"{path}: {_file_key(exc.field)} {exc.problem}") from None
     if overrides:
         cleaned = {k: v for k, v in overrides.items() if v is not None}
         if cleaned:

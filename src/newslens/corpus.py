@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import re
 import sys
 import unicodedata
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from functools import cached_property
 
 import numpy as np
@@ -33,9 +32,6 @@ __all__ = [
     "mention_counts",
 ]
 
-log = logging.getLogger(__name__)
-
-_DAY = timedelta(days=1)
 _ARTICLE_KEYS = {"id", "outlet", "date", "title", "body"}
 
 # Unicode-aware alphabetic runs: letters only, no digits or underscore.

@@ -328,18 +328,26 @@ def stage_sentiment(state: RunState) -> None:
 @_stage("correlate")
 def stage_correlate(state: RunState) -> None:
     cfg = state.config
-    spread = state.spread
+    # One scan over every series of every outlet, so series over the same
+    # days share their permutation draws; labels name the outlet.
+    slots: list[tuple[dict, str | int]] = []
+    series: list[DatedSeries] = []
     for outlet in sorted(state.articles):
         res = state.outlets[outlet]
-        for label, series in sorted(res.mention_series.items()):
-            res.mention_correlations[label] = lagged_correlation_scan(
-                series, spread, cfg.max_lag, cfg.n_perm, cfg.seed
-            )
+        named = [
+            (res.mention_correlations, label, s) for label, s in sorted(res.mention_series.items())
+        ]
         if res.coverage is not None:
-            for pos, topic_id in enumerate(res.coverage.topic_ids):
-                res.topic_correlations[topic_id] = lagged_correlation_scan(
-                    res.coverage.topics[pos], spread, cfg.max_lag, cfg.n_perm, cfg.seed
-                )
+            named += [
+                (res.topic_correlations, topic_id, s)
+                for topic_id, s in zip(res.coverage.topic_ids, res.coverage.topics)
+            ]
+        for target, key, s in named:
+            slots.append((target, key))
+            series.append(s.with_values(s.values, label=f"{outlet}/{s.label}"))
+    scans = lagged_correlation_scan(series, state.spread, cfg.max_lag, cfg.n_perm, cfg.seed)
+    for (target, key), scan in zip(slots, scans):
+        target[key] = scan
 
 
 @_stage("causality")

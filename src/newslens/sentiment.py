@@ -13,7 +13,7 @@ import csv
 import logging
 import re
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_DAY = timedelta(days=1)
 
 SENTIMENT_CLASSES = (
     "very_negative",

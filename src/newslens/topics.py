@@ -8,9 +8,7 @@ series per topic, weighted by document length.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from datetime import date, timedelta
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,9 +27,6 @@ __all__ = [
     "agenda_profile",
 ]
 
-log = logging.getLogger(__name__)
-
-_DAY = timedelta(days=1)
 _EPS = 1e-12
 
 NORMALIZATION_MODES = ("per_day_share", "per_topic_area", "none")

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import date, timedelta
 
 import numpy as np
 from scipy import stats as sps
@@ -108,56 +109,98 @@ class LagCorrelation:
     n_obs: int
 
 
+# Permutations scored per matrix product; bounds the scan's memory at
+# O(_PERM_CHUNK * n) whatever n_perm is.
+_PERM_CHUNK = 1024
+
+
 def lagged_correlation_scan(
-    x: DatedSeries,
+    xs: Sequence[DatedSeries],
     y: DatedSeries,
     max_lag: int,
     n_perm: int = 10000,
     seed: int = 0,
-) -> list[LagCorrelation]:
-    """Spearman correlation of detrended x(t) against detrended y(t + lag).
+) -> list[list[LagCorrelation]]:
+    """Spearman correlation of each detrended x(t) against detrended y(t + lag).
 
-    Both series are linearly detrended in full before any alignment.  For
+    Returns one list of LagCorrelation per series of ``xs``, in order.
+    Every series is linearly detrended in full before any alignment.  For
     each lag in 0..max_lag the overlap pairs x(t), y(t + lag) are ranked
     and correlated; the p-value is the two-sided permutation tail
     (1 + #{|rho_perm| >= |rho|}) / (n_perm + 1) under a seeded shuffle of
-    one rank vector.  Lags with fewer than 10 overlap pairs are skipped
-    with a warning.
+    y's rank vector.  Lags with fewer than 10 overlap pairs are skipped
+    with a warning.  A constant overlap raises ValueError naming the
+    series label and the lag.
+
+    The shuffles equal those of one ``default_rng(seed)`` per series
+    calling ``rng.permutation`` once per permutation, lag after lag, so
+    a series' result does not depend on the other series in the call.
+    Series over the same days (same start and length) see the same
+    overlaps, so they share one such generator, re-seeded per group, and
+    each drawn shuffle is scored against all of them at once.
     """
+    xs = list(xs)
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    shorter = min(len(x), len(y))
-    if max_lag >= shorter / 2:
-        raise ValueError(
-            f"max_lag {max_lag} too large for series of length {shorter}"
-        )
+    for x in xs:
+        shorter = min(len(x), len(y))
+        if max_lag >= shorter / 2:
+            raise ValueError(
+                f"series {x.label!r}: max_lag {max_lag} too large for series of length {shorter}"
+            )
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
-    xd = linear_detrend(x)
+    out: list[list[LagCorrelation]] = [[] for _ in xs]
+    if not xs:
+        return out
     yd = linear_detrend(y)
-    rng = np.random.default_rng(seed)
-    out: list[LagCorrelation] = []
-    for lag in range(max_lag + 1):
-        xv, yv = align_lagged(xd, yd, lag)
-        n = xv.size
-        if n < 10:
-            log.warning("lag %d skipped: only %d overlapping days", lag, n)
-            continue
-        rx = _midranks(xv)
-        ry = _midranks(yv)
-        rho = _pearson(rx, ry)
-        hits = 0
-        for _ in range(n_perm):
-            perm = rng.permutation(ry)
-            try:
-                r = _pearson(rx, perm)
-            except ValueError:
-                r = 0.0
-            if abs(r) >= abs(rho) - 1e-12:
-                hits += 1
-        p = (1 + hits) / (n_perm + 1)
-        out.append(LagCorrelation(lag=lag, rho=rho, p_value=p, n_obs=n))
+    groups: dict[tuple[date, int], list[int]] = {}
+    for i, x in enumerate(xs):
+        groups.setdefault((x.start, len(x)), []).append(i)
+    for members in groups.values():
+        xds = [linear_detrend(xs[i]) for i in members]
+        rng = np.random.default_rng(seed)
+        for lag in range(max_lag + 1):
+            pairs = [align_lagged(xd, yd, lag) for xd in xds]
+            n = pairs[0][0].size
+            if n < 10:
+                log.warning("lag %d skipped: only %d overlapping days", lag, n)
+                continue
+            ry = _midranks(pairs[0][1])
+            rxs = [_midranks(xv) for xv, _ in pairs]
+            rhos = []
+            for i, rx in zip(members, rxs):
+                try:
+                    rhos.append(_pearson(rx, ry))
+                except ValueError as exc:
+                    raise ValueError(f"series {xs[i].label!r} at lag {lag}: {exc}") from None
+            hits = _permutation_hits(np.column_stack(rxs), ry, np.array(rhos), n_perm, rng)
+            for i, rho, h in zip(members, rhos, hits):
+                p = (1 + int(h)) / (n_perm + 1)
+                out[i].append(LagCorrelation(lag=lag, rho=rho, p_value=p, n_obs=n))
     return out
+
+
+def _permutation_hits(
+    rx: np.ndarray, ry: np.ndarray, rhos: np.ndarray, n_perm: int, rng: np.random.Generator
+) -> np.ndarray:
+    """For each column of ``rx``, the shuffles of ``ry`` with |r| >= |rho|.
+
+    ``rng.permuted`` over rows of ``arange(n)`` consumes the generator
+    exactly as successive ``rng.permutation(ry)`` calls do.
+    """
+    n = ry.size
+    xc = rx - rx.mean(axis=0)
+    yc = ry - ry.mean()
+    scale = np.sqrt(float(yc @ yc) * np.einsum("ij,ij->j", xc, xc))
+    # The slack counts a shuffle that reaches |rho| up to rounding.
+    bar = np.abs(rhos) - 1e-12
+    hits = np.zeros(rx.shape[1], dtype=np.int64)
+    for done in range(0, n_perm, _PERM_CHUNK):
+        rows = min(_PERM_CHUNK, n_perm - done)
+        idx = rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
+        hits += (np.abs((yc[idx] @ xc) / scale) >= bar).sum(axis=0)
+    return hits
 
 
 # --- autocorrelation ------------------------------------------------------

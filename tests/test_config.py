@@ -195,7 +195,7 @@ class TestPipelineConfigValidation:
             PipelineConfig(**self.kwargs(tmp_path, window_days=0))
         with pytest.raises(ValueError, match="max_lag"):
             PipelineConfig(**self.kwargs(tmp_path, max_lag=-1))
-        with pytest.raises(ValueError, match="level"):
+        with pytest.raises(ValueError, match="bootstrap_gamma"):
             PipelineConfig(**self.kwargs(tmp_path, bootstrap_gamma=1.5))
         with pytest.raises(ValueError, match="drop_topics"):
             PipelineConfig(**self.kwargs(tmp_path, drop_topics=(9,)))
@@ -231,6 +231,43 @@ class TestPipelineConfigValidation:
             load_config(p, overrides)
         if not overrides:
             assert str(p) in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "section, key, value, problem",
+        [
+            ("analysis", "permutations", 0, "must be >= 1, got 0"),
+            ("analysis", "max_lag", -1, "must be >= 0, got -1"),
+            ("topics", "count", 1, "must be >= 2, got 1"),
+            ("topics", "drop", [9], "[9] outside [0, 6)"),
+            ("topics", "normalization", "inverted", "got 'inverted'"),
+            ("topics", "min_df", 0, "must be >= 1, got 0"),
+            ("topics", "keywords", 0, "must be >= 1, got 0"),
+            (None, "window_days", 0, "must be >= 1, got 0"),
+            ("bootstrap", "samples", 1, "must be >= 2, got 1"),
+            ("bootstrap", "level", 1.5, "must be in (0, 1), got 1.5"),
+            ("sentiment", "membership_threshold", 0.0, "must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_range_error_names_file_and_key(self, tmp_path, section, key, value, problem):
+        mapping = base_mapping(tmp_path)
+        if section is None:
+            mapping[key] = value
+        else:
+            mapping[section] = {key: value}
+        p = write_yaml(tmp_path, mapping)
+        dotted = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p)
+        assert str(exc_info.value).startswith(f"{p}: {dotted} ")
+        assert str(exc_info.value).endswith(problem)
+
+    def test_bad_value_names_key(self, tmp_path):
+        mapping = base_mapping(tmp_path)
+        mapping["analysis"] = {"permutations": "many"}
+        p = write_yaml(tmp_path, mapping)
+        expected = f"{p}: bad value for analysis.permutations"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_config(p)
 
     def test_partial_lexicon_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="all four"):

@@ -16,3 +16,51 @@ def test_no_relative_import_inside_a_function():
                     if isinstance(node, ast.ImportFrom) and node.level > 0:
                         found.add(f"{path.name}:{node.lineno}")
     assert not found, f"relative imports inside functions: {sorted(found)}"
+
+
+def _module_bindings(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level statements, with their lines."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[name.id] = node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return bound
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_module_level_name_is_read():
+    # A module-level name that nothing in its module reads, and that the
+    # module does not export through __all__, is dead code.
+    found = set()
+    for path in sorted(Path(newslens.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exempt = read | _exported(tree)
+        for name, line in _module_bindings(tree).items():
+            dunder = name.startswith("__") and name.endswith("__")
+            if name not in exempt and not dunder:
+                found.add(f"{path.name}:{line} {name}")
+    assert not found, f"module-level names never read: {sorted(found)}"

@@ -128,6 +128,16 @@ class TestStageErrors:
             run_pipeline(cfg)
         assert exc_info.value.stage == "topics"
 
+    def test_constant_series_named_by_outlet_label_and_lag(self, tmp_path):
+        # An outlet that never names Briggs has a constant mention series.
+        cfg_path = build_run_dir(tmp_path)
+        articles = tmp_path / "articles.jsonl"
+        text = articles.read_text(encoding="utf-8").replace("Briggs", "Arden")
+        articles.write_text(text, encoding="utf-8")
+        with pytest.raises(PipelineError, match="correlate") as exc_info:
+            run_pipeline(load_config(cfg_path))
+        assert "'outlet_one/mentions_Briggs' at lag 0: correlation undefined" in str(exc_info.value)
+
     def test_stage_prefix_composes(self, tmp_path):
         cfg = load_config(build_run_dir(tmp_path))
         state = RunState(config=cfg)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from newslens.series import DatedSeries
+from newslens import tsstats
+from newslens.series import DatedSeries, align_lagged
 from newslens.tsstats import (
+    _PERM_CHUNK,
     acf_pacf,
     adf_test,
     first_difference,
@@ -166,7 +168,7 @@ class TestLaggedCorrelationScan:
         v = rng.random(60)
         x = series(v)
         y = series(v, start=START + timedelta(days=5))
-        out = lagged_correlation_scan(x, y, max_lag=8, n_perm=199, seed=1)
+        (out,) = lagged_correlation_scan([x], y, max_lag=8, n_perm=199, seed=1)
         by_lag = {r.lag: r for r in out}
         assert by_lag[5].rho == pytest.approx(1.0)
         assert by_lag[5].p_value < 1.0 / 199.0
@@ -175,7 +177,7 @@ class TestLaggedCorrelationScan:
     def test_lag_zero_identical(self):
         rng = np.random.default_rng(6)
         v = rng.random(40)
-        out = lagged_correlation_scan(series(v), series(v), max_lag=0, n_perm=99, seed=0)
+        (out,) = lagged_correlation_scan([series(v)], series(v), max_lag=0, n_perm=99, seed=0)
         assert out[0].rho == pytest.approx(1.0)
 
     def test_shared_trend_is_removed(self):
@@ -183,9 +185,9 @@ class TestLaggedCorrelationScan:
         xv = rng.random(80)
         yv = rng.random(80)
         trend = np.linspace(0.0, 50.0, 80)
-        plain = lagged_correlation_scan(series(xv), series(yv), 5, n_perm=49, seed=3)
-        trended = lagged_correlation_scan(
-            series(xv + trend), series(yv + trend), 5, n_perm=49, seed=3
+        (plain,) = lagged_correlation_scan([series(xv)], series(yv), 5, n_perm=49, seed=3)
+        (trended,) = lagged_correlation_scan(
+            [series(xv + trend)], series(yv + trend), 5, n_perm=49, seed=3
         )
         for a, b in zip(plain, trended):
             assert a.rho == pytest.approx(b.rho, abs=1e-9)
@@ -195,7 +197,7 @@ class TestLaggedCorrelationScan:
         x = series(rng.random(16))
         y = series(rng.random(16))
         with caplog.at_level("WARNING", logger="newslens.tsstats"):
-            out = lagged_correlation_scan(x, y, max_lag=7, n_perm=49, seed=0)
+            (out,) = lagged_correlation_scan([x], y, max_lag=7, n_perm=49, seed=0)
         assert [r.lag for r in out] == [0, 1, 2, 3, 4, 5, 6]
         assert any("skipped" in r.message for r in caplog.records)
 
@@ -203,30 +205,128 @@ class TestLaggedCorrelationScan:
         rng = np.random.default_rng(11)
         x = series(rng.random(50))
         y = series(rng.random(50))
-        a = lagged_correlation_scan(x, y, 6, n_perm=199, seed=42)
-        b = lagged_correlation_scan(x, y, 6, n_perm=199, seed=42)
+        a = lagged_correlation_scan([x], y, 6, n_perm=199, seed=42)[0]
+        b = lagged_correlation_scan([x], y, 6, n_perm=199, seed=42)[0]
         assert [r.p_value for r in a] == [r.p_value for r in b]
 
     def test_independent_noise_stays_weak(self):
         rng = np.random.default_rng(13)
         x = series(rng.standard_normal(200))
         y = series(rng.standard_normal(200))
-        out = lagged_correlation_scan(x, y, 10, n_perm=199, seed=7)
+        (out,) = lagged_correlation_scan([x], y, 10, n_perm=199, seed=7)
         assert max(abs(r.rho) for r in out) < 0.35
 
     def test_p_values_in_range(self):
         rng = np.random.default_rng(14)
         x = series(rng.random(40))
         y = series(rng.random(40))
-        for r in lagged_correlation_scan(x, y, 5, n_perm=99, seed=2):
+        for r in lagged_correlation_scan([x], y, 5, n_perm=99, seed=2)[0]:
             assert 1.0 / 100.0 <= r.p_value <= 1.0
 
     def test_max_lag_validation(self):
         x = series(np.arange(20.0))
         with pytest.raises(ValueError, match="max_lag"):
-            lagged_correlation_scan(x, x, max_lag=10, n_perm=9, seed=0)
+            lagged_correlation_scan([x], x, max_lag=10, n_perm=9, seed=0)
         with pytest.raises(ValueError, match="max_lag"):
-            lagged_correlation_scan(x, x, max_lag=-1, n_perm=9, seed=0)
+            lagged_correlation_scan([x], x, max_lag=-1, n_perm=9, seed=0)
+
+
+def scan_oracle(x, y, max_lag, n_perm, seed):
+    """The per-permutation loop the batched scan replaced: one generator per
+    series, one ``rng.permutation`` and one Pearson correlation per shuffle."""
+
+    def pearson(a, b):
+        ac = a - a.mean()
+        bc = b - b.mean()
+        return float((ac @ bc) / np.sqrt(float(ac @ ac) * float(bc @ bc)))
+
+    xd = linear_detrend(x)
+    yd = linear_detrend(y)
+    rng = np.random.default_rng(seed)
+    out = []
+    for lag in range(max_lag + 1):
+        xv, yv = align_lagged(xd, yd, lag)
+        n = xv.size
+        if n < 10:
+            continue
+        rx = scipy.stats.rankdata(xv)
+        ry = scipy.stats.rankdata(yv)
+        rho = pearson(rx, ry)
+        hits = 0
+        for _ in range(n_perm):
+            if abs(pearson(rx, rng.permutation(ry))) >= abs(rho) - 1e-12:
+                hits += 1
+        out.append((lag, rho, (1 + hits) / (n_perm + 1), n))
+    return out
+
+
+def cells(scan):
+    return [(c.lag, c.rho, c.p_value, c.n_obs) for c in scan]
+
+
+def tied_series(rng, n, start=START, levels=3.0):
+    """Integer-rounded noise: few distinct values, so ranks tie often."""
+    return series(np.round(rng.normal(size=n) * levels), start=start)
+
+
+class TestBatchedScanMatchesOracle:
+    """The batched scan against the loop it replaced, cell for cell."""
+
+    @pytest.mark.parametrize("n_perm", [1, _PERM_CHUNK, _PERM_CHUNK + 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_mixed_spans_with_ties(self, n_perm, seed):
+        rng = np.random.default_rng(seed + 1000)
+        y = tied_series(rng, 40)
+        xs = [
+            tied_series(rng, 40),
+            tied_series(rng, 40, levels=0.5),
+            series((rng.random(40) < 0.5).astype(float)),
+            tied_series(rng, 32, start=START + timedelta(days=3)),
+            tied_series(rng, 36, start=START - timedelta(days=2)),
+        ]
+        got = lagged_correlation_scan(xs, y, 5, n_perm=n_perm, seed=seed)
+        assert len(got) == len(xs)
+        for x, scan in zip(xs, got):
+            assert cells(scan) == scan_oracle(x, y, 5, n_perm, seed)
+
+    def test_rounding_does_not_move_p_values(self, monkeypatch):
+        # Mid-ranks are half-integers, so a shuffle reaching exactly |rho|
+        # computes to the same bits.  On a rescaled rank scale the two
+        # differ by rounding, and the 1e-12 tolerance must still count them.
+        rng = np.random.default_rng(31)
+        y = tied_series(rng, 24, levels=0.5)
+        xs = [series((rng.random(24) < 0.5).astype(float)) for _ in range(6)]
+        exact = lagged_correlation_scan(xs, y, 2, n_perm=300, seed=4)
+        midranks = tsstats._midranks
+        monkeypatch.setattr(tsstats, "_midranks", lambda v: midranks(v) * 0.1 + math.pi)
+        rounded = lagged_correlation_scan(xs, y, 2, n_perm=300, seed=4)
+        for a, b in zip(exact, rounded):
+            assert [c.p_value for c in a] == [c.p_value for c in b]
+            assert [c.rho for c in a] == pytest.approx([c.rho for c in b], abs=1e-12)
+
+    def test_joint_scan_equals_separate_scans(self):
+        rng = np.random.default_rng(17)
+        y = tied_series(rng, 50)
+        a = tied_series(rng, 50)
+        b = tied_series(rng, 44, start=START + timedelta(days=4))
+        c = tied_series(rng, 50)
+        joint = lagged_correlation_scan([a, b, c], y, 6, n_perm=150, seed=9)
+        alone = [lagged_correlation_scan([s], y, 6, n_perm=150, seed=9)[0] for s in (a, b, c)]
+        assert [cells(s) for s in joint] == [cells(s) for s in alone]
+
+    def test_empty_sequence(self):
+        assert lagged_correlation_scan([], series(np.arange(30.0)), 3, n_perm=9, seed=0) == []
+
+    def test_constant_series_named_with_lag(self):
+        rng = np.random.default_rng(21)
+        y = series(rng.random(40))
+        good = series(rng.random(40), label="outlet_a/topic_0")
+        flat = series(np.zeros(40), label="outlet_b/mentions_Briggs")
+        with pytest.raises(
+            ValueError,
+            match=r"'outlet_b/mentions_Briggs' at lag 0: correlation undefined for a constant",
+        ):
+            lagged_correlation_scan([good, flat], y, 3, n_perm=9, seed=0)
 
 
 class TestAcfPacf:

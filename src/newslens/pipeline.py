@@ -258,6 +258,13 @@ def stage_ingest(state: RunState) -> None:
     cfg = state.config
     state.polls = load_polls(cfg.polls)
     state.spread = daily_spread(state.polls, cfg.window_days)
+    # The lag scan needs max_lag < half the spread; check it before the
+    # topic and sentiment stages spend their time.
+    if cfg.max_lag >= len(state.spread) / 2:
+        raise ValueError(
+            f"analysis.max_lag {cfg.max_lag} too large for a poll spread of "
+            f"{len(state.spread)} days; it must be below half of it"
+        )
     if cfg.stopwords is not None:
         state.stopwords = load_stopwords(cfg.stopwords)
     else:

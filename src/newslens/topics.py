@@ -8,6 +8,7 @@ series per topic, weighted by document length.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +61,34 @@ def _as_csr(matrix) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(matrix, dtype=float))
 
 
-def _frobenius(x: sp.csr_matrix, h: np.ndarray, w: np.ndarray, x_sq: float) -> float:
-    # Dense residual when cheap (exact); otherwise the expanded trace form
-    # ||X||^2 - 2<X, HW> + <H'H, WW'>, clamped at zero against rounding.
+def _frobenius(x: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Return ``error(h, w)``, the Frobenius norm of X - H @ W.
+
+    Up to 4M cells the residual is computed densely (exact), into one
+    buffer reused by every call, against X densified once here.  Larger
+    inputs use the expanded trace form ||X||^2 - 2<X, HW> + <H'H, WW'>,
+    clamped at zero against rounding.
+    """
     d, t = x.shape
     if d * t <= 4_000_000:
-        diff = h @ w - x.toarray()
-        return float(np.sqrt(np.sum(diff * diff)))
-    cross = float(np.sum(np.asarray(x @ w.T) * h))
-    gram = float(np.sum((h.T @ h) * (w @ w.T)))
-    return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
+        dense = x.toarray()
+        buf = np.empty((d, t))
+
+        def error(h: np.ndarray, w: np.ndarray) -> float:
+            np.matmul(h, w, out=buf)
+            np.subtract(buf, dense, out=buf)
+            np.multiply(buf, buf, out=buf)
+            return float(np.sqrt(np.sum(buf)))
+
+        return error
+    x_sq = float(x.multiply(x).sum())
+
+    def error(h: np.ndarray, w: np.ndarray) -> float:
+        cross = float(np.sum(np.asarray(x @ w.T) * h))
+        gram = float(np.sum((h.T @ h) * (w @ w.T)))
+        return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
+
+    return error
 
 
 def nmf_factorize(
@@ -103,6 +122,11 @@ def nmf_factorize(
     which never increases the reconstruction error.  After convergence W
     rows are L2-normalized and the scale folded into H, leaving H @ W
     unchanged.
+
+    Up to 4,000,000 cells (docs x terms) the error is checked on a dense
+    residual: X is held dense, with one residual buffer of the same
+    shape, for the whole call, so at most 2 x 32 MB at that size.  Larger
+    inputs use a trace form that never densifies X.
     """
     x = _as_csr(matrix)
     d, t = x.shape
@@ -120,13 +144,13 @@ def nmf_factorize(
     h = 1.0 - rng.random((d, n_topics))
     w = 1.0 - rng.random((n_topics, t))
 
-    x_sq = float(x.multiply(x).sum())
-    errors = [_frobenius(x, h, w, x_sq)]
+    error = _frobenius(x)
+    errors = [error(h, w)]
     iterations = 0
     for it in range(1, max_iter + 1):
         h *= np.asarray(x @ w.T) / (h @ (w @ w.T) + _EPS)
         w *= np.asarray(h.T @ x) / ((h.T @ h) @ w + _EPS)
-        err = _frobenius(x, h, w, x_sq)
+        err = error(h, w)
         if not np.isfinite(err):
             raise ValueError(f"reconstruction error diverged at iteration {it}")
         prev = errors[-1]
@@ -169,7 +193,7 @@ def reconstruction_error(matrix, factors: NmfFactors) -> float:
             f"factor shapes {factors.H.shape} x {factors.W.shape} "
             f"do not match matrix {x.shape}"
         )
-    return _frobenius(x, factors.H, factors.W, float(x.multiply(x).sum()))
+    return _frobenius(x)(factors.H, factors.W)
 
 
 def top_keywords(factors: NmfFactors, k: int = 10) -> list[list[str]]:

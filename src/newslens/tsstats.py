@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .series import DatedSeries, align_lagged
 
@@ -379,7 +379,9 @@ def granger_beta(
         p = 0.0 if slope != 0 else 1.0
     else:
         t_stat = slope / slope_se
-        p = float(2.0 * sps.t.sf(abs(t_stat), df=n - 2))
+        # stdtr(df, -|t|) is the upper tail of Student's t, as
+        # scipy.stats.t.sf computes it, without importing scipy.stats.
+        p = float(2.0 * special.stdtr(n - 2, -abs(t_stat)))
     return GrangerResult(
         topic=topic,
         lag=lag,

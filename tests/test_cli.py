@@ -44,6 +44,12 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error:" in err and "ingest" in err
 
+    def test_max_lag_beyond_poll_span_exits_2(self, run_dir, capsys):
+        rc = invoke("validate", "--config", str(run_dir / "config.yaml"), "--max-lag", "40")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ingest" in err and "analysis.max_lag 40" in err
+
 
 class TestRun:
     def test_full_run_writes_outputs(self, run_dir, capsys):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import newslens
@@ -64,3 +67,14 @@ def test_every_module_level_name_is_read():
             if name not in exempt and not dunder:
                 found.add(f"{path.name}:{line} {name}")
     assert not found, f"module-level names never read: {sorted(found)}"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of the package's import time; nothing on the
+    # CLI's import path may pull it in.
+    env = dict(os.environ, PYTHONPATH=str(Path(newslens.__file__).parent.parent))
+    code = "import sys, newslens.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"

@@ -138,6 +138,23 @@ class TestStageErrors:
             run_pipeline(load_config(cfg_path))
         assert "'outlet_one/mentions_Briggs' at lag 0: correlation undefined" in str(exc_info.value)
 
+    def test_max_lag_too_long_for_spread_fails_at_ingest(self, tmp_path, monkeypatch):
+        cfg_path = build_run_dir(tmp_path)
+        n = len(run_pipeline(load_config(cfg_path), through="ingest").state.spread)
+        half = (n + 1) // 2  # smallest max_lag with max_lag >= n / 2
+        # The largest allowed max_lag passes ingest.
+        run_pipeline(load_config(cfg_path, overrides={"max_lag": half - 1}), through="ingest")
+        monkeypatch.setattr(
+            "newslens.pipeline.stage_topics", lambda state: pytest.fail("topics ran")
+        )
+        cfg = load_config(cfg_path, overrides={"max_lag": half})
+        with pytest.raises(PipelineError, match="ingest") as exc_info:
+            run_pipeline(cfg)
+        assert exc_info.value.stage == "ingest"
+        assert f"analysis.max_lag {half} too large for a poll spread of {n} days" in str(
+            exc_info.value
+        )
+
     def test_stage_prefix_composes(self, tmp_path):
         cfg = load_config(build_run_dir(tmp_path))
         state = RunState(config=cfg)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from newslens.config import load_config
+from newslens.pipeline import run_pipeline
 from newslens.topics import (
     NmfFactors,
+    _as_csr,
     agenda_profile,
     nmf_factorize,
     reconstruction_error,
@@ -14,7 +17,7 @@ from newslens.topics import (
 )
 from newslens.vectorize import Vocabulary, build_vocabulary, tfidf_matrix
 
-from conftest import make_article
+from conftest import build_run_dir, make_article
 
 
 def random_nonneg(rng, d, t):
@@ -143,6 +146,94 @@ class TestNmfFactorize:
         factors = nmf_factorize(np.ones((3, 3)), n_topics=1, seed=0)
         with pytest.raises(ValueError, match="shape"):
             reconstruction_error(x, factors)
+
+
+def frobenius_oracle(x, h, w, x_sq):
+    """The error check as it was before the residual buffer: a fresh dense
+    X and residual on every call."""
+    d, t = x.shape
+    if d * t <= 4_000_000:
+        diff = h @ w - x.toarray()
+        return float(np.sqrt(np.sum(diff * diff)))
+    cross = float(np.sum(np.asarray(x @ w.T) * h))
+    gram = float(np.sum((h.T @ h) * (w @ w.T)))
+    return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
+
+
+def nmf_errors_oracle(matrix, n_topics, seed, tol=1e-5, max_iter=500):
+    """Error history of nmf_factorize's updates, each checked by frobenius_oracle."""
+    x = _as_csr(matrix)
+    d, t = x.shape
+    rng = np.random.default_rng(seed)
+    h = 1.0 - rng.random((d, n_topics))
+    w = 1.0 - rng.random((n_topics, t))
+    x_sq = float(x.multiply(x).sum())
+    errors = [frobenius_oracle(x, h, w, x_sq)]
+    for _ in range(max_iter):
+        h *= np.asarray(x @ w.T) / (h @ (w @ w.T) + 1e-12)
+        w *= np.asarray(h.T @ x) / ((h.T @ h) @ w + 1e-12)
+        prev = errors[-1]
+        errors.append(frobenius_oracle(x, h, w, x_sq))
+        if prev == 0.0 or (prev - errors[-1]) / prev < tol:
+            break
+    return np.asarray(errors)
+
+
+def non_canonical_csr(rng, d, t):
+    """CSR with duplicate entries and unsorted column indices in every row."""
+    indices, data, indptr = [], [], [0]
+    for _ in range(d):
+        cols = rng.integers(0, t, size=t // 2)
+        cols = np.concatenate([cols, cols[:3]])  # duplicates
+        indices.extend(cols[::-1])  # unsorted
+        data.extend(rng.random(cols.size))
+        indptr.append(len(indices))
+    x = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(d, t))
+    assert not x.has_canonical_format
+    return x
+
+
+class TestNmfErrorsMatchOracle:
+    def check(self, matrix, n_topics, seed, **kwargs):
+        factors = nmf_factorize(matrix, n_topics=n_topics, seed=seed, **kwargs)
+        expected = nmf_errors_oracle(matrix, n_topics, seed, **kwargs)
+        assert np.array_equal(factors.errors, expected)
+        assert factors.iterations == expected.size - 1
+
+    def test_doc_term_matrix(self, tmp_path):
+        cfg = load_config(build_run_dir(tmp_path))
+        state = run_pipeline(cfg, through="ingest").state
+        arts = state.articles["outlet_one"]
+        dtm = tfidf_matrix(arts, build_vocabulary(arts, state.stopwords, cfg.min_df))
+        self.check(dtm, n_topics=4, seed=cfg.seed)
+
+    def test_non_canonical_csr(self):
+        # Duplicate entries add up in X; a buffer filled by scattering the
+        # stored entries would drop all but one of them.
+        x = non_canonical_csr(np.random.default_rng(41), 30, 20)
+        self.check(x, n_topics=3, seed=2)
+
+    def test_dense_array(self):
+        self.check(np.random.default_rng(43).random((25, 18)), n_topics=4, seed=3)
+
+    def test_trace_form_above_dense_cutoff(self):
+        x = sp.random(2001, 2000, density=5e-5, random_state=47, format="csr")
+        assert x.shape[0] * x.shape[1] > 4_000_000
+        self.check(x, n_topics=2, seed=4, max_iter=5)
+
+    def test_matrix_densified_once(self, monkeypatch):
+        calls = []
+        toarray = sp.csr_matrix.toarray
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.shape)
+            return toarray(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", counted)
+        x = np.random.default_rng(53).random((20, 15))
+        factors = nmf_factorize(x, n_topics=3, seed=0, tol=1e-12, max_iter=20)
+        assert factors.iterations == 20
+        assert calls == [(20, 15)]
 
 
 class TestTopKeywords:

@@ -453,6 +453,18 @@ class TestGrangerBeta:
             assert res.stderr == pytest.approx(ref.stderr, rel=1e-10)
             assert res.p_value == pytest.approx(ref.pvalue, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [20, 21, 60, 239])
+    def test_p_value_equals_student_t_tail(self, n):
+        # granger_beta computes the tail without scipy.stats; it must give
+        # the same bits as the two-sided scipy.stats.t.sf tail.
+        rng = np.random.default_rng(n)
+        for slope in (0.0, 0.05, 0.3, 1.0, 4.0):
+            x = rng.standard_normal(n)
+            y = slope * x + rng.standard_normal(n)
+            res = granger_beta(series(y), series(x), lag=0)
+            expected = float(2.0 * scipy.stats.t.sf(abs(res.t_stat), df=n - 2))
+            assert res.p_value == expected
+
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(26)
         x = rng.standard_normal(40)

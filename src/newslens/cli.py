@@ -70,8 +70,9 @@ def _print_validate(state: RunState) -> None:
 def _print_topics(state: RunState) -> None:
     for outlet in sorted(state.outlets):
         res = state.outlets[outlet]
+        stop = "converged" if res.factors.converged else "iteration cap"
         print(f"outlet {outlet}: reconstruction error {res.factors.final_error:.4f} "
-              f"after {res.factors.iterations} iterations")
+              f"after {res.factors.iterations} iterations ({stop})")
         for pos, topic_id in enumerate(res.coverage.topic_ids):
             words = ", ".join(res.keywords[topic_id][:8])
             print(f"  topic {topic_id} (share {res.agenda[pos]:.3f}): {words}")

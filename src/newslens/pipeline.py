@@ -150,6 +150,7 @@ class ReportBundle:
                     "agenda": [float(v) for v in r.agenda] if r.agenda is not None else [],
                     "nmf_error": r.factors.final_error if r.factors else None,
                     "nmf_iterations": r.factors.iterations if r.factors else None,
+                    "nmf_converged": r.factors.converged if r.factors else None,
                     "coverage": [_series_dict(s) for s in (r.coverage.topics if r.coverage else [])],
                 },
                 "mentions": {

@@ -8,7 +8,6 @@ series per topic, weighted by document length.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from .vectorize import DocTermMatrix, Vocabulary
 __all__ = [
     "NmfFactors",
     "nmf_factorize",
-    "reconstruction_error",
     "top_keywords",
     "TopicCoverage",
     "topic_weight_series",
@@ -40,7 +38,8 @@ class NmfFactors:
     W rows are L2-normalized, with the scale folded into H columns.
     ``errors`` holds the Frobenius reconstruction error before the first
     update and after every full iteration; ``doc_ids`` aligns H rows with
-    the articles behind them.
+    the articles behind them.  ``converged`` is true when the fit stopped
+    on its tolerance, false when it ran into the iteration cap.
     """
 
     H: np.ndarray
@@ -51,6 +50,7 @@ class NmfFactors:
     errors: np.ndarray
     doc_ids: tuple[str, ...]
     vocab: Vocabulary | None = None
+    converged: bool = False
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
@@ -59,36 +59,6 @@ def _as_csr(matrix) -> sp.csr_matrix:
     if sp.issparse(matrix):
         return matrix.tocsr().astype(float)
     return sp.csr_matrix(np.asarray(matrix, dtype=float))
-
-
-def _frobenius(x: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Return ``error(h, w)``, the Frobenius norm of X - H @ W.
-
-    Up to 4M cells the residual is computed densely (exact), into one
-    buffer reused by every call, against X densified once here.  Larger
-    inputs use the expanded trace form ||X||^2 - 2<X, HW> + <H'H, WW'>,
-    clamped at zero against rounding.
-    """
-    d, t = x.shape
-    if d * t <= 4_000_000:
-        dense = x.toarray()
-        buf = np.empty((d, t))
-
-        def error(h: np.ndarray, w: np.ndarray) -> float:
-            np.matmul(h, w, out=buf)
-            np.subtract(buf, dense, out=buf)
-            np.multiply(buf, buf, out=buf)
-            return float(np.sqrt(np.sum(buf)))
-
-        return error
-    x_sq = float(x.multiply(x).sum())
-
-    def error(h: np.ndarray, w: np.ndarray) -> float:
-        cross = float(np.sum(np.asarray(x @ w.T) * h))
-        gram = float(np.sum((h.T @ h) * (w @ w.T)))
-        return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
-
-    return error
 
 
 def nmf_factorize(
@@ -123,10 +93,16 @@ def nmf_factorize(
     rows are L2-normalized and the scale folded into H, leaving H @ W
     unchanged.
 
-    Up to 4,000,000 cells (docs x terms) the error is checked on a dense
-    residual: X is held dense, with one residual buffer of the same
-    shape, for the whole call, so at most 2 x 32 MB at that size.  Larger
-    inputs use a trace form that never densifies X.
+    The error is checked after every iteration from the products the
+    updates need anyway: with XWt = X @ W' and WWt = W @ W' (reused by
+    the next H update) and HtH = H' @ H (from the W update),
+
+        ||X - H @ W||^2 = ||X||^2 - 2 <XWt, H> + <HtH, WWt>,
+
+    with ||X||^2 computed once from the stored entries.  X is never made
+    dense and no docs x terms array is allocated.  Rounding can leave the
+    difference slightly negative near an exact fit, so it is clamped at
+    zero.
     """
     x = _as_csr(matrix)
     d, t = x.shape
@@ -136,27 +112,42 @@ def nmf_factorize(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not np.isfinite(x.data).all():
+        raise ValueError("input matrix must be finite")
     if x.nnz and x.data.min() < 0:
         raise ValueError("input matrix must be non-negative")
+
+    x_sq = float(x.multiply(x).sum())  # sums any duplicate entries first
+
+    def error(h, hth, xwt, wwt) -> float:
+        cross = float(np.sum(xwt * h))
+        gram = float(np.sum(hth * wwt))
+        return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
 
     rng = np.random.default_rng(seed)
     # 1 - random() lies in (0, 1]: strictly positive starting factors.
     h = 1.0 - rng.random((d, n_topics))
     w = 1.0 - rng.random((n_topics, t))
 
-    error = _frobenius(x)
-    errors = [error(h, w)]
+    xwt = np.asarray(x @ w.T)
+    wwt = w @ w.T
+    errors = [error(h, h.T @ h, xwt, wwt)]
     iterations = 0
+    converged = False
     for it in range(1, max_iter + 1):
-        h *= np.asarray(x @ w.T) / (h @ (w @ w.T) + _EPS)
-        w *= np.asarray(h.T @ x) / ((h.T @ h) @ w + _EPS)
-        err = error(h, w)
+        h *= xwt / (h @ wwt + _EPS)
+        hth = h.T @ h
+        w *= np.asarray(h.T @ x) / (hth @ w + _EPS)
+        xwt = np.asarray(x @ w.T)
+        wwt = w @ w.T
+        err = error(h, hth, xwt, wwt)
         if not np.isfinite(err):
             raise ValueError(f"reconstruction error diverged at iteration {it}")
         prev = errors[-1]
         errors.append(err)
         iterations = it
         if prev == 0.0 or (prev - err) / prev < tol:
+            converged = True
             break
 
     norms = np.sqrt(np.sum(w * w, axis=1))
@@ -181,19 +172,8 @@ def nmf_factorize(
         errors=err_arr,
         doc_ids=doc_ids,
         vocab=vocab,
+        converged=converged,
     )
-
-
-def reconstruction_error(matrix, factors: NmfFactors) -> float:
-    """Frobenius norm of M - H @ W."""
-    x = _as_csr(matrix)
-    d, t = x.shape
-    if factors.H.shape[0] != d or factors.W.shape[1] != t:
-        raise ValueError(
-            f"factor shapes {factors.H.shape} x {factors.W.shape} "
-            f"do not match matrix {x.shape}"
-        )
-    return _frobenius(x)(factors.H, factors.W)
 
 
 def top_keywords(factors: NmfFactors, k: int = 10) -> list[list[str]]:

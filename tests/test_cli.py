@@ -108,6 +108,7 @@ class TestStageCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "reconstruction error" in out
+        assert "iterations (converged)" in out
         assert "topic 0" in out
 
     def test_sentiment_prints_sb(self, run_dir, capsys):

@@ -84,6 +84,13 @@ class TestRunPipeline:
         for cell in outlet["granger"]:
             assert cell["significant"] == (cell["p_value"] < 0.01)
 
+    def test_nmf_convergence_reported(self, run_bundle):
+        topics = run_bundle.to_dict()["outlets"]["outlet_one"]["topics"]
+        keys = list(topics)
+        assert keys.index("nmf_converged") == keys.index("nmf_iterations") + 1
+        assert topics["nmf_converged"] is run_bundle.state.outlets["outlet_one"].factors.converged
+        assert topics["nmf_converged"] is True
+
 
 class TestParseOnce:
     @pytest.fixture()

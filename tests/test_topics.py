@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -11,7 +12,6 @@ from newslens.topics import (
     _as_csr,
     agenda_profile,
     nmf_factorize,
-    reconstruction_error,
     top_keywords,
     topic_weight_series,
 )
@@ -118,39 +118,58 @@ class TestNmfFactorize:
         with pytest.raises(ValueError, match="max_iter"):
             nmf_factorize(x, n_topics=1, seed=0, max_iter=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.ones((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="input matrix must be finite"):
+            nmf_factorize(x, n_topics=1, seed=0)
+        with pytest.raises(ValueError, match="input matrix must be finite"):
+            nmf_factorize(sp.csr_matrix(x), n_topics=1, seed=0)
+
     def test_reconstruction_error_matches_dense_norm(self):
-        rng = np.random.default_rng(23)
-        x = rng.random((7, 5))
-        factors = nmf_factorize(x, n_topics=2, seed=6)
-        expected = float(np.linalg.norm(factors.H @ factors.W - x))
-        assert reconstruction_error(x, factors) == pytest.approx(expected, rel=1e-12)
+        # The error recorded after iteration n is the norm of the residual
+        # of the factors returned by a fit capped at n iterations.
+        x = sp.random(40, 30, density=0.2, random_state=23, format="csr")
+        for n in range(1, 5):
+            factors = nmf_factorize(x, n_topics=2, seed=6, tol=1e-12, max_iter=n)
+            expected = float(np.linalg.norm(factors.H @ factors.W - x.toarray()))
+            assert factors.final_error == pytest.approx(expected, rel=1e-9)
 
     def test_error_on_large_matrix_uses_trace_form(self):
-        # d * t above the dense cutoff exercises the expanded trace formula
-        rng = np.random.default_rng(29)
         d = t = 2049
         x = sp.random(d, t, density=2e-4, random_state=31, format="csr")
-        h = rng.random((d, 2))
-        w = rng.random((2, t))
-        errors = np.array([0.0])
-        factors = NmfFactors(
-            H=h, W=w, n_topics=2, final_error=0.0, iterations=0,
-            errors=errors, doc_ids=tuple(str(i) for i in range(d)),
-        )
-        got = reconstruction_error(x, factors)
-        expected = float(np.linalg.norm(h @ w - x.toarray()))
-        assert got == pytest.approx(expected, rel=1e-9)
+        factors = nmf_factorize(x, n_topics=2, seed=29, max_iter=5)
+        expected = float(np.linalg.norm(factors.H @ factors.W - x.toarray()))
+        assert factors.final_error == pytest.approx(expected, rel=1e-9)
 
-    def test_shape_mismatch_rejected(self):
-        x = np.ones((4, 4))
-        factors = nmf_factorize(np.ones((3, 3)), n_topics=1, seed=0)
-        with pytest.raises(ValueError, match="shape"):
-            reconstruction_error(x, factors)
+
+class TestNmfConverged:
+    def test_stops_on_tolerance(self):
+        x = np.random.default_rng(61).random((10, 8))
+        factors = nmf_factorize(x, n_topics=3, seed=0)
+        assert factors.converged is True
+        assert factors.iterations < 500
+
+    def test_capped(self):
+        x = np.random.default_rng(61).random((10, 8))
+        factors = nmf_factorize(x, n_topics=3, seed=0, max_iter=3)
+        assert factors.converged is False
+        assert factors.iterations == 3
+
+    def test_converged_on_the_last_allowed_iteration(self):
+        # iterations == max_iter on both fits; only the flag tells them apart.
+        x = np.random.default_rng(61).random((10, 8))
+        n = nmf_factorize(x, n_topics=3, seed=0).iterations
+        last = nmf_factorize(x, n_topics=3, seed=0, max_iter=n)
+        short = nmf_factorize(x, n_topics=3, seed=0, max_iter=n - 1)
+        assert (last.iterations, last.converged) == (n, True)
+        assert (short.iterations, short.converged) == (n - 1, False)
 
 
 def frobenius_oracle(x, h, w, x_sq):
-    """The error check as it was before the residual buffer: a fresh dense
-    X and residual on every call."""
+    """The error check before the expanded form: a dense residual up to
+    4M cells, the trace form above."""
     d, t = x.shape
     if d * t <= 4_000_000:
         diff = h @ w - x.toarray()
@@ -160,8 +179,9 @@ def frobenius_oracle(x, h, w, x_sq):
     return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
 
 
-def nmf_errors_oracle(matrix, n_topics, seed, tol=1e-5, max_iter=500):
-    """Error history of nmf_factorize's updates, each checked by frobenius_oracle."""
+def nmf_oracle(matrix, n_topics, seed, tol=1e-5, max_iter=500):
+    """nmf_factorize's updates and final scaling, with every iterate's
+    error from frobenius_oracle; returns H, W and the error history."""
     x = _as_csr(matrix)
     d, t = x.shape
     rng = np.random.default_rng(seed)
@@ -176,7 +196,11 @@ def nmf_errors_oracle(matrix, n_topics, seed, tol=1e-5, max_iter=500):
         errors.append(frobenius_oracle(x, h, w, x_sq))
         if prev == 0.0 or (prev - errors[-1]) / prev < tol:
             break
-    return np.asarray(errors)
+    norms = np.sqrt(np.sum(w * w, axis=1))
+    norms[norms == 0.0] = 1.0
+    w /= norms[:, None]
+    h *= norms[None, :]
+    return h, w, np.asarray(errors)
 
 
 def non_canonical_csr(rng, d, t):
@@ -194,11 +218,19 @@ def non_canonical_csr(rng, d, t):
 
 
 class TestNmfErrorsMatchOracle:
+    """The expanded-form error check leaves the updates untouched: H, W and
+    the iteration count equal the oracle's exactly.  The errors sum in a
+    different order, so they are held to a relative tolerance of 1e-12,
+    fixed before the expanded form was first run against the oracle."""
+
     def check(self, matrix, n_topics, seed, **kwargs):
         factors = nmf_factorize(matrix, n_topics=n_topics, seed=seed, **kwargs)
-        expected = nmf_errors_oracle(matrix, n_topics, seed, **kwargs)
-        assert np.array_equal(factors.errors, expected)
-        assert factors.iterations == expected.size - 1
+        h, w, errors = nmf_oracle(matrix, n_topics, seed, **kwargs)
+        assert factors.iterations == errors.size - 1
+        assert np.array_equal(factors.H, h)
+        assert np.array_equal(factors.W, w)
+        np.testing.assert_allclose(factors.errors, errors, rtol=1e-12, atol=0.0)
+        return factors, errors
 
     def test_doc_term_matrix(self, tmp_path):
         cfg = load_config(build_run_dir(tmp_path))
@@ -208,8 +240,7 @@ class TestNmfErrorsMatchOracle:
         self.check(dtm, n_topics=4, seed=cfg.seed)
 
     def test_non_canonical_csr(self):
-        # Duplicate entries add up in X; a buffer filled by scattering the
-        # stored entries would drop all but one of them.
+        # Duplicate entries add up in X, in ||X||^2 as in the products.
         x = non_canonical_csr(np.random.default_rng(41), 30, 20)
         self.check(x, n_topics=3, seed=2)
 
@@ -221,7 +252,25 @@ class TestNmfErrorsMatchOracle:
         assert x.shape[0] * x.shape[1] > 4_000_000
         self.check(x, n_topics=2, seed=4, max_iter=5)
 
-    def test_matrix_densified_once(self, monkeypatch):
+    def test_near_exact_fit(self):
+        # X = H0 @ W0 plus noise of 1e-6: the residual is about 1e-7 of
+        # ||X||, so ||X||^2 - 2<XWt, H> + <HtH, WWt> cancels about 14
+        # digits and the relative bound cannot hold.  What rounding can
+        # move is the squared error, by a few ulps of ||X||^2; the bound
+        # on it, 1e-12 * ||X||^2, was fixed before the first run.
+        rng = np.random.default_rng(59)
+        x = np.outer(rng.random(30) + 0.5, rng.random(20) + 0.5)
+        x += 1e-6 * rng.random(x.shape)
+        x_sq = float(np.sum(x * x))
+        factors = nmf_factorize(x, n_topics=1, seed=1, tol=1e-12, max_iter=50)
+        h, w, errors = nmf_oracle(x, 1, 1, tol=1e-12, max_iter=50)
+        assert factors.final_error < 1e-6 * np.sqrt(x_sq)
+        assert factors.iterations == errors.size - 1
+        assert np.array_equal(factors.H, h)
+        assert np.array_equal(factors.W, w)
+        assert np.all(np.abs(factors.errors**2 - errors**2) <= 1e-12 * x_sq)
+
+    def test_matrix_never_densified(self, monkeypatch):
         calls = []
         toarray = sp.csr_matrix.toarray
 
@@ -233,7 +282,16 @@ class TestNmfErrorsMatchOracle:
         x = np.random.default_rng(53).random((20, 15))
         factors = nmf_factorize(x, n_topics=3, seed=0, tol=1e-12, max_iter=20)
         assert factors.iterations == 20
-        assert calls == [(20, 15)]
+        sparse = sp.random(1500, 1000, density=0.01, random_state=53, format="csr")
+        tracemalloc.start()
+        try:
+            nmf_factorize(sparse, n_topics=3, seed=0, tol=1e-12, max_iter=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        # a docs x terms float array alone would be 12 MB
+        assert peak < 1500 * 1000 * 8 / 4
 
 
 class TestTopKeywords:

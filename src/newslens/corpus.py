@@ -2,7 +2,9 @@
 
 Articles arrive as line-delimited JSON (one object per line with keys
 id, outlet, date, title, body); polls as a CSV with columns
-date, pollster, pct_a, pct_b.
+date, pollster, pct_a, pct_b.  ``named_entities`` is the one rule for
+which tracked entities a text names; ingest filtering and
+``sentiment.mention_records`` both use it.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ import json
 import re
 import sys
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 
-import numpy as np
-
-from .series import DatedSeries, pooled_window_mean, sliding_mean
+from .series import DatedSeries, pooled_window_mean
 
 __all__ = [
     "tokenize",
@@ -29,7 +30,7 @@ __all__ = [
     "load_articles",
     "load_polls",
     "daily_spread",
-    "mention_counts",
+    "named_entities",
 ]
 
 _ARTICLE_KEYS = {"id", "outlet", "date", "title", "body"}
@@ -149,7 +150,18 @@ class EntitySpec:
 
     def matches(self, text: str) -> bool:
         """Case-insensitive alias match on word boundaries, NFC-normalized."""
-        return bool(self._pattern.search(unicodedata.normalize("NFC", text)))
+        return any(named_entities(text, (self,)))
+
+
+def named_entities(text: str, entities: tuple[EntitySpec, ...]) -> Iterator[EntitySpec]:
+    """The entities ``text`` names, in ``entities`` order, found lazily.
+
+    The text is NFC-normalized once, on the call; each entity then
+    matches when any of its aliases occurs case-insensitively on word
+    boundaries.  Lazy, so ``any(...)`` stops at the first entity named.
+    """
+    normalized = unicodedata.normalize("NFC", text)
+    return (e for e in entities if e._pattern.search(normalized))
 
 
 @dataclass(frozen=True)
@@ -209,8 +221,7 @@ def load_articles(path, entities: tuple[EntitySpec, ...]) -> list[Article]:
             if art.id in seen:
                 raise ValueError(f"{where}: duplicate article id {art.id!r}")
             seen.add(art.id)
-            text = art.title + "\n" + art.body
-            if any(e.matches(text) for e in entities):
+            if any(named_entities(art.title + "\n" + art.body, entities)):
                 kept.append(art)
     if not kept:
         raise ValueError(f"{path}: no article mentions any tracked entity")
@@ -260,30 +271,3 @@ def daily_spread(polls: list[PollRecord], window_days: int = 7) -> DatedSeries:
         raise ValueError("no poll records")
     return pooled_window_mean(((r.date, r.spread) for r in polls), window_days, "poll_spread")
 
-
-def mention_counts(
-    articles: list[Article],
-    entities: tuple[EntitySpec, ...],
-    window_days: int = 7,
-) -> dict[str, DatedSeries]:
-    """Smoothed daily count of sentences that name each entity, by label.
-
-    Sentences are ``Article.sentences``, read once per article for all
-    entities.  Days without articles contribute zero.  The raw counts are
-    smoothed with a trailing ``window_days`` mean.
-    """
-    if not articles:
-        raise ValueError("no articles")
-    first = min(a.date for a in articles)
-    last = max(a.date for a in articles)
-    raw = np.zeros((len(entities), (last - first).days + 1))
-    for art in articles:
-        day = (art.date - first).days
-        for sent in art.sentences:
-            for i, entity in enumerate(entities):
-                if entity.matches(sent):
-                    raw[i, day] += 1
-    return {
-        e.label: sliding_mean(DatedSeries(first, raw[i], label=f"mentions_{e.label}"), window_days)
-        for i, e in enumerate(entities)
-    }

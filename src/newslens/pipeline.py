@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .bootstrap import BootstrapResult, bootstrap_sb
 from .config import PipelineConfig
-from .corpus import Article, PollRecord, daily_spread, load_articles, load_polls, mention_counts
+from .corpus import Article, PollRecord, daily_spread, load_articles, load_polls
 from .sentiment import (
     Lexicon,
     MentionRecord,
@@ -311,8 +311,9 @@ def stage_sentiment(state: RunState) -> None:
     label_a, label_b = cfg.entities[0].label, cfg.entities[1].label
     for outlet, arts in sorted(state.articles.items()):
         res = state.outlets[outlet]
-        res.mention_series = mention_counts(arts, cfg.entities, cfg.window_days)
-        res.mentions = mention_records(arts, cfg.entities, state.lexicon, state.labels)
+        res.mention_series, res.mentions = mention_records(
+            arts, cfg.entities, state.lexicon, state.labels, cfg.window_days
+        )
         if not res.mentions:
             raise ValueError(f"outlet {outlet}: no entity mentions extracted")
         res.sb_overall = sentiment_bias(tally_mentions(res.mentions, label_a, label_b))

@@ -1,5 +1,9 @@
 """Entity mention extraction and sentiment-bias scoring.
 
+``mention_records`` is the one mention reader: it reads each article's
+sentences once and, from the entities each sentence names, builds both
+the smoothed daily mention-count series and the scored mentions.
+
 The bias statistic contrasts two entities A and B over a set of labeled
 mentions: each positive mention of A or negative mention of B
 contributes +1, each negative mention of A or positive mention of B
@@ -17,8 +21,8 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import Article, EntitySpec, tokenize
-from .series import DatedSeries, pooled_window_mean
+from .corpus import Article, EntitySpec, named_entities, tokenize
+from .series import DatedSeries, pooled_window_mean, sliding_mean
 
 __all__ = [
     "SENTIMENT_CLASSES",
@@ -48,8 +52,7 @@ SENTIMENT_CLASSES = (
     "positive",
     "very_positive",
 )
-_POSITIVE = {"positive", "very_positive"}
-_NEGATIVE = {"negative", "very_negative"}
+_POLARITY = dict(zip(SENTIMENT_CLASSES, (-1, -1, 0, 1, 1)))
 
 _VALENCES = {-2, -1, 1, 2}
 
@@ -160,6 +163,18 @@ def score_sentence(text: str, lexicon: Lexicon) -> str:
 _CLAUSE_SPLIT = re.compile(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", re.IGNORECASE)
 
 
+def _attribute(sent: str, named: tuple[EntitySpec, ...]) -> list[tuple[EntitySpec, str]]:
+    """(entity, clause) mentions of one sentence that names ``named``."""
+    if len(named) < 2:
+        return [(e, sent) for e in named]
+    return [
+        (e, clause)
+        for clause in map(str.strip, _CLAUSE_SPLIT.split(sent))
+        if clause
+        for e in named_entities(clause, named)
+    ]
+
+
 def extract_mentions(
     article: Article, entities: tuple[EntitySpec, ...]
 ) -> list[tuple[int, EntitySpec, str]]:
@@ -170,20 +185,11 @@ def extract_mentions(
     commas, semicolons, and coordinating conjunctions, and each clause is
     attributed to the entities it names.
     """
-    out: list[tuple[int, EntitySpec, str]] = []
-    for idx, sent in enumerate(article.sentences):
-        named = [e for e in entities if e.matches(sent)]
-        if len(named) == 1:
-            out.append((idx, named[0], sent))
-        elif len(named) > 1:
-            for clause in _CLAUSE_SPLIT.split(sent):
-                clause = clause.strip()
-                if not clause:
-                    continue
-                for e in named:
-                    if e.matches(clause):
-                        out.append((idx, e, clause))
-    return out
+    return [
+        (idx, entity, clause)
+        for idx, sent in enumerate(article.sentences)
+        for entity, clause in _attribute(sent, tuple(named_entities(sent, entities)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -232,36 +238,50 @@ def mention_records(
     entities: tuple[EntitySpec, ...],
     lexicon: Lexicon,
     labels: dict[tuple[str, int], str] | None = None,
-) -> list[MentionRecord]:
-    """Extract and score every mention, in article order.
+    window_days: int = 7,
+) -> tuple[dict[str, DatedSeries], list[MentionRecord]]:
+    """Mention-count series by entity label, and every mention scored.
 
-    When ``labels`` is given, a sentence with a precomputed label uses it
-    for all mentions in that sentence; unlabeled sentences fall back to
-    the rule scorer.
+    Each article's sentences are read once and each sentence's entities
+    found once.  A sentence counts toward every entity it names, on its
+    article's day (days without articles count zero); the daily counts
+    are smoothed with a trailing ``window_days`` mean.  The mentions are
+    those of ``extract_mentions``, in article order.  When ``labels`` is
+    given, a sentence with a precomputed label uses it for all its
+    mentions; unlabeled sentences fall back to the rule scorer.
     """
+    if not articles:
+        raise ValueError("no articles")
+    first = min(a.date for a in articles)
+    n_days = (max(a.date for a in articles) - first).days + 1
+    counts = {e.label: np.zeros(n_days) for e in entities}
     records: list[MentionRecord] = []
     missing = 0
     for art in articles:
-        for idx, entity, clause in extract_mentions(art, entities):
-            cls = None
-            if labels is not None:
-                cls = labels.get((art.id, idx))
-                if cls is None:
-                    missing += 1
-            if cls is None:
-                cls = score_sentence(clause, lexicon)
-            records.append(
-                MentionRecord(
-                    article_id=art.id,
-                    date=art.date,
-                    entity=entity.label,
-                    sentence=clause,
-                    sentiment=cls,
+        day = (art.date - first).days
+        for idx, sent in enumerate(art.sentences):
+            named = tuple(named_entities(sent, entities))
+            for e in named:
+                counts[e.label][day] += 1
+            given = None if labels is None else labels.get((art.id, idx))
+            for entity, clause in _attribute(sent, named):
+                missing += given is None
+                records.append(
+                    MentionRecord(
+                        article_id=art.id,
+                        date=art.date,
+                        entity=entity.label,
+                        sentence=clause,
+                        sentiment=given or score_sentence(clause, lexicon),
+                    )
                 )
-            )
     if labels is not None and missing:
         log.warning("%d mentions had no precomputed label; rule scorer used", missing)
-    return records
+    series = {
+        label: sliding_mean(DatedSeries(first, raw, label=f"mentions_{label}"), window_days)
+        for label, raw in counts.items()
+    }
+    return series, records
 
 
 # --- bias statistics ------------------------------------------------------
@@ -295,35 +315,25 @@ class SbStatistic:
     tally: SentimentTally
 
 
+def _polarity(sentiment: str) -> int:
+    """+1 for a positive class, -1 for a negative one, 0 for neutral."""
+    pol = _POLARITY.get(sentiment)
+    if pol is None:
+        raise ValueError(f"unknown sentiment class {sentiment!r}")
+    return pol
+
+
 def tally_mentions(
     mentions: list[MentionRecord], label_a: str, label_b: str
 ) -> SentimentTally:
-    counts = {
-        (label_a, "pos"): 0, (label_a, "neg"): 0, (label_a, "neu"): 0,
-        (label_b, "pos"): 0, (label_b, "neg"): 0, (label_b, "neu"): 0,
-    }
+    # in SentimentTally field order: pos_a, neg_a, neu_a, pos_b, neg_b, neu_b
+    keys = [(label, pol) for label in (label_a, label_b) for pol in (1, -1, 0)]
+    counts = dict.fromkeys(keys, 0)
     for m in mentions:
         if m.entity not in (label_a, label_b):
             raise ValueError(f"mention entity {m.entity!r} is neither {label_a!r} nor {label_b!r}")
-        if m.sentiment in _POSITIVE:
-            pol = "pos"
-        elif m.sentiment in _NEGATIVE:
-            pol = "neg"
-        elif m.sentiment == "neutral":
-            pol = "neu"
-        else:
-            raise ValueError(f"unknown sentiment class {m.sentiment!r}")
-        counts[(m.entity, pol)] += 1
-    return SentimentTally(
-        label_a=label_a,
-        label_b=label_b,
-        pos_a=counts[(label_a, "pos")],
-        neg_a=counts[(label_a, "neg")],
-        neu_a=counts[(label_a, "neu")],
-        pos_b=counts[(label_b, "pos")],
-        neg_b=counts[(label_b, "neg")],
-        neu_b=counts[(label_b, "neu")],
-    )
+        counts[(m.entity, _polarity(m.sentiment))] += 1
+    return SentimentTally(label_a, label_b, *(counts[k] for k in keys))
 
 
 def sentiment_bias(tally: SentimentTally) -> SbStatistic:
@@ -347,13 +357,7 @@ def mention_value(entity: str, sentiment: str, label_a: str, label_b: str) -> in
         sign = -1
     else:
         raise ValueError(f"entity {entity!r} is neither {label_a!r} nor {label_b!r}")
-    if sentiment in _POSITIVE:
-        return sign
-    if sentiment in _NEGATIVE:
-        return -sign
-    if sentiment == "neutral":
-        return 0
-    raise ValueError(f"unknown sentiment class {sentiment!r}")
+    return sign * _polarity(sentiment)
 
 
 def sb_series(

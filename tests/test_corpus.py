@@ -1,18 +1,21 @@
 import json
 from datetime import date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from newslens import corpus
 from newslens.corpus import (
     EntitySpec,
     PollRecord,
     daily_spread,
     load_articles,
     load_polls,
-    mention_counts,
+    named_entities,
     tokenize,
 )
+from newslens.sentiment import default_lexicon, mention_records
 
 from conftest import article_row, make_article, write_articles
 
@@ -42,6 +45,59 @@ class TestEntitySpec:
     def test_empty_alias_list_rejected(self):
         with pytest.raises(ValueError):
             EntitySpec(label="X", aliases=())
+
+
+def count_normalize(monkeypatch) -> list[str]:
+    """Record each text ``corpus`` NFC-normalizes."""
+    calls = []
+    real = corpus.unicodedata.normalize
+
+    def counting(form, text):
+        calls.append(text)
+        return real(form, text)
+
+    monkeypatch.setattr(corpus, "unicodedata", SimpleNamespace(normalize=counting))
+    return calls
+
+
+class TestNamedEntities:
+    def test_in_entity_order(self, entity_pair):
+        arden, briggs = entity_pair
+        assert tuple(named_entities("Briggs met Arden.", entity_pair)) == (arden, briggs)
+        assert tuple(named_entities("Briggs met Arden.", (briggs, arden))) == (briggs, arden)
+        assert tuple(named_entities("Briggs left.", entity_pair)) == (briggs,)
+        assert tuple(named_entities("Nobody came.", entity_pair)) == ()
+
+    def test_normalizes_once_on_the_call(self, entity_pair, monkeypatch):
+        calls = count_normalize(monkeypatch)
+        named = named_entities("Arden met Briggs.", entity_pair)
+        assert calls == ["Arden met Briggs."]
+        assert len(tuple(named)) == 2
+        assert calls == ["Arden met Briggs."]
+
+    def test_stops_at_first_entity_for_any(self, entity_pair):
+        class Unsearchable:
+            def search(self, text):
+                raise AssertionError("searched past the first entity named")
+
+        arden = entity_pair[0]
+        late = EntitySpec(label="Late", aliases=("late",))
+        object.__setattr__(late, "_pattern", Unsearchable())
+        assert any(named_entities("Arden spoke.", (arden, late)))
+
+    def test_matches_is_the_same_rule(self, entity_pair, monkeypatch):
+        calls = []
+        real = corpus.named_entities
+
+        def counting(text, entities):
+            calls.append((text, entities))
+            return real(text, entities)
+
+        monkeypatch.setattr(corpus, "named_entities", counting)
+        arden = entity_pair[0]
+        assert arden.matches("ARDEN spoke")
+        assert not arden.matches("Briggs spoke")
+        assert calls == [("ARDEN spoke", (arden,)), ("Briggs spoke", (arden,))]
 
 
 class TestLoadArticles:
@@ -131,6 +187,18 @@ class TestLoadArticles:
         )
         with pytest.raises(ValueError, match="no article"):
             load_articles(p, entity_pair)
+
+    def test_normalizes_each_article_once(self, tmp_path, entity_pair, monkeypatch):
+        path = tmp_path / "a.jsonl"
+        write_articles(path, [
+            article_row("a1", title="Arden", body="Briggs spoke."),
+            article_row("a2", title="Weather", body="Rain again."),
+            article_row("a3", title="Polls", body="Arden leads."),
+        ])
+        calls = count_normalize(monkeypatch)
+        kept = load_articles(path, entity_pair)
+        assert [a.id for a in kept] == ["a1", "a3"]
+        assert calls == ["Arden\nBriggs spoke.", "Weather\nRain again.", "Polls\nArden leads."]
 
     def test_title_match_is_enough(self, tmp_path, entity_pair):
         p = tmp_path / "articles.jsonl"
@@ -246,6 +314,12 @@ class TestArticleTokens:
         assert all(x is y for x, y in zip(a.tokens, b.tokens))
 
 
+def mention_counts(articles, entities, window_days):
+    """The mention-count series of the one mention reader, ``mention_records``."""
+    series, _ = mention_records(articles, entities, default_lexicon(), window_days=window_days)
+    return series
+
+
 class TestMentionCounts:
     def test_counts_sentences_and_title(self, entity_pair):
         art = make_article(
@@ -293,3 +367,16 @@ class TestMentionCounts:
         s = mention_counts(arts, entity_pair, window_days=1)["Arden"]
         assert len(s) == 4
         assert s.values[1] == 0.0 and s.values[2] == 0.0
+
+    def test_counts_the_sentence_not_its_mentions(self, entity_pair):
+        # each sentence names both; the second splits into three clauses
+        art = make_article(
+            title="", body="Arden met Briggs. Arden won, Arden smiled, and Briggs left."
+        )
+        series, records = mention_records([art], entity_pair, default_lexicon(), window_days=1)
+        assert series["Arden"].values[0] == 2.0 and series["Briggs"].values[0] == 2.0
+        assert [r.entity for r in records] == ["Arden", "Briggs", "Arden", "Arden", "Briggs"]
+
+    def test_no_articles_rejected(self, entity_pair):
+        with pytest.raises(ValueError, match="no articles"):
+            mention_counts([], entity_pair, window_days=1)

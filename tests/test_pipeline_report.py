@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import newslens.corpus as corpus
+import newslens.pipeline as pipeline
+import newslens.sentiment as sentiment
 from newslens.config import load_config
 from newslens.pipeline import (
     STAGES,
@@ -113,10 +117,61 @@ class TestParseOnce:
         state = run_pipeline(config, through="topics").state
         assert len(calls) == state.outlets["outlet_one"].n_articles
 
-    def test_sentiment_splits_each_article_at_most_twice(self, config, monkeypatch):
+    def test_sentiment_splits_each_article_once(self, config, monkeypatch):
         calls = self.counted(monkeypatch, "split_sentences")
         state = run_pipeline(config, through="sentiment").state
-        assert 0 < len(calls) <= 2 * state.outlets["outlet_one"].n_articles
+        assert len(calls) == state.outlets["outlet_one"].n_articles
+
+    @pytest.mark.parametrize("body", [None, "Arden won, but Briggs, Jr. objected; Arden smiled."])
+    def test_mention_reader_normalizes_each_sentence_once(self, tmp_path, monkeypatch, body):
+        # Texts ``corpus`` normalizes while ``mention_records`` runs; the
+        # scorer's own tokenize is counted apart.
+        path = build_run_dir(tmp_path)
+        if body is not None:
+            articles = tmp_path / "articles.jsonl"
+            rows = [json.loads(line) for line in articles.read_text(encoding="utf-8").splitlines()]
+            rows[0]["body"] = body
+            articles.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        config = load_config(path)
+        normalized, scored = [], []
+        inside = []
+        real_normalize = corpus.unicodedata.normalize
+        real_reader = pipeline.mention_records
+        real_score = sentiment.score_sentence
+
+        def normalize(form, text):
+            if inside:
+                normalized.append(text)
+            return real_normalize(form, text)
+
+        def reader(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_reader(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def score(text, lexicon):
+            scored.append(text)
+            return real_score(text, lexicon)
+
+        monkeypatch.setattr(corpus, "unicodedata", SimpleNamespace(normalize=normalize))
+        monkeypatch.setattr(pipeline, "mention_records", reader)
+        monkeypatch.setattr(sentiment, "score_sentence", score)
+        state = run_pipeline(config, through="sentiment").state
+
+        expected, multi = [], 0
+        for art in state.articles["outlet_one"]:
+            for sent in art.sentences:
+                expected.append(sent)
+                if len(tuple(corpus.named_entities(sent, config.entities))) > 1:
+                    multi += 1
+                    clauses = re.split(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", sent)
+                    expected.extend(c.strip() for c in clauses if c.strip())
+        expected.extend(scored)  # score_sentence tokenizes each scored clause once
+        assert multi == (body is not None)
+        assert sorted(normalized) == sorted(expected)
+        assert len(scored) == len(state.outlets["outlet_one"].mentions)
 
 
 class TestStageErrors:

@@ -1,10 +1,14 @@
+import logging
 import random
+import re
 from datetime import date
 
 import numpy as np
 import pytest
 
-from newslens.corpus import EntitySpec, split_sentences
+from newslens.config import load_config
+from newslens.corpus import EntitySpec, load_articles, split_sentences
+from newslens.series import DatedSeries, sliding_mean
 from newslens.sentiment import (
     Lexicon,
     MentionRecord,
@@ -22,7 +26,7 @@ from newslens.sentiment import (
 )
 from newslens.topics import NmfFactors
 
-from conftest import make_article
+from conftest import build_run_dir, make_article
 
 
 def tiny_lexicon() -> Lexicon:
@@ -285,7 +289,7 @@ class TestMentionRecords:
 
     def test_scorer_fallback(self):
         art = make_article(title="", body="Arden was good today.")
-        records = mention_records([art], self.entities(), tiny_lexicon())
+        _, records = mention_records([art], self.entities(), tiny_lexicon())
         assert len(records) == 1
         assert records[0].sentiment == "positive"
         assert records[0].entity == "Arden"
@@ -294,13 +298,13 @@ class TestMentionRecords:
     def test_labels_override_scorer(self):
         art = make_article(title="", body="Arden was good today.")
         labels = {("a1", 0): "very_negative"}
-        records = mention_records([art], self.entities(), tiny_lexicon(), labels)
+        _, records = mention_records([art], self.entities(), tiny_lexicon(), labels)
         assert records[0].sentiment == "very_negative"
 
     def test_title_gets_label_index_zero(self):
         art = make_article(title="Arden rises", body="Nothing here.")
         labels = {("a1", 0): "positive"}
-        records = mention_records([art], self.entities(), tiny_lexicon(), labels)
+        _, records = mention_records([art], self.entities(), tiny_lexicon(), labels)
         assert records[0].sentiment == "positive"
 
     def test_unlabeled_sentences_warn_once(self, caplog):
@@ -308,11 +312,120 @@ class TestMentionRecords:
             make_article(id="a1", title="", body="Arden was good. Arden was bad."),
         ]
         with caplog.at_level("WARNING", logger="newslens.sentiment"):
-            records = mention_records(
+            _, records = mention_records(
                 arts, self.entities(), tiny_lexicon(), labels={("a1", 0): "neutral"}
             )
         assert [r.sentiment for r in records] == ["neutral", "negative"]
         assert sum("no precomputed label" in r.message for r in caplog.records) == 1
+
+
+# The two mention readers the one reader replaced, written out as the oracle.
+_REF_CLAUSE_SPLIT = re.compile(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", re.IGNORECASE)
+
+
+def reference_mention_counts(articles, entities, window_days):
+    first = min(a.date for a in articles)
+    last = max(a.date for a in articles)
+    raw = np.zeros((len(entities), (last - first).days + 1))
+    for art in articles:
+        day = (art.date - first).days
+        for sent in art.sentences:
+            for i, entity in enumerate(entities):
+                if entity.matches(sent):
+                    raw[i, day] += 1
+    return {
+        e.label: sliding_mean(DatedSeries(first, raw[i], label=f"mentions_{e.label}"), window_days)
+        for i, e in enumerate(entities)
+    }
+
+
+def reference_extract_mentions(article, entities):
+    out = []
+    for idx, sent in enumerate(article.sentences):
+        named = [e for e in entities if e.matches(sent)]
+        if len(named) == 1:
+            out.append((idx, named[0], sent))
+        elif len(named) > 1:
+            for clause in _REF_CLAUSE_SPLIT.split(sent):
+                clause = clause.strip()
+                if not clause:
+                    continue
+                for e in named:
+                    if e.matches(clause):
+                        out.append((idx, e, clause))
+    return out
+
+
+def reference_mention_records(articles, entities, lexicon, labels=None):
+    records = []
+    missing = 0
+    for art in articles:
+        for idx, entity, clause in reference_extract_mentions(art, entities):
+            cls = None
+            if labels is not None:
+                cls = labels.get((art.id, idx))
+                if cls is None:
+                    missing += 1
+            if cls is None:
+                cls = score_sentence(clause, lexicon)
+            records.append(MentionRecord(art.id, art.date, entity.label, clause, cls))
+    if labels is not None and missing:
+        logging.getLogger("newslens.sentiment").warning(
+            "%d mentions had no precomputed label; rule scorer used", missing
+        )
+    return records
+
+
+class TestOneMentionReader:
+    def assert_matches_reference(self, articles, entities, lexicon, labels=None, window_days=3):
+        series, records = mention_records(articles, entities, lexicon, labels, window_days)
+        expected = reference_mention_counts(articles, entities, window_days)
+        assert list(series) == list(expected)
+        for label, want in expected.items():
+            got = series[label]
+            assert (got.start, got.label) == (want.start, want.label)
+            assert got.values.tobytes() == want.values.tobytes()
+        assert records == reference_mention_records(articles, entities, lexicon, labels)
+        return series, records
+
+    def test_build_run_dir_corpus(self, tmp_path):
+        cfg = load_config(build_run_dir(tmp_path))
+        arts = load_articles(cfg.articles["outlet_one"], cfg.entities)
+        self.assert_matches_reference(
+            arts, cfg.entities, default_lexicon(), window_days=cfg.window_days
+        )
+
+    def test_sentences_naming_both(self, entity_pair):
+        arts = [
+            make_article(id="a1", title="Arden and Briggs debate",
+                         body="Arden was good, but Briggs was awful. Briggs met Arden."),
+            make_article(id="a2", day=date(2021, 3, 4), title="",
+                         body="Briggs won; Arden lost and Briggs smiled. Nobody else spoke."),
+        ]
+        self.assert_matches_reference(arts, entity_pair, tiny_lexicon())
+
+    def test_alias_across_clause_separator(self):
+        entities = (
+            EntitySpec(label="Arden", aliases=("Arden",)),
+            EntitySpec(label="Briggs", aliases=("Briggs, Jr.",)),
+        )
+        art = make_article(title="", body="Arden met Briggs, Jr. at noon.")
+        series, records = self.assert_matches_reference([art], entities, tiny_lexicon())
+        # the sentence names Briggs, but no clause does
+        assert series["Briggs"].values[0] == 1.0
+        assert [r.entity for r in records] == ["Arden"]
+
+    def test_labels_with_gaps_warn_once(self, entity_pair, caplog):
+        arts = [
+            make_article(id="a1", title="Arden rises", body="Arden was good. Briggs was bad."),
+            make_article(id="a2", day=date(2021, 3, 2), title="",
+                         body="Arden and Briggs argued, but Arden won."),
+        ]
+        labels = {("a1", 0): "very_positive", ("a2", 0): "negative"}
+        with caplog.at_level("WARNING", logger="newslens.sentiment"):
+            mention_records(arts, entity_pair, tiny_lexicon(), labels)
+        assert sum("no precomputed label" in r.message for r in caplog.records) == 1
+        self.assert_matches_reference(arts, entity_pair, tiny_lexicon(), labels)
 
 
 class TestSentimentBias:

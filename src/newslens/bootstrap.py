@@ -1,8 +1,14 @@
 """Bootstrap uncertainty for the sentiment-bias statistic.
 
 Each labeled mention maps to a value in {-1, 0, +1} (its contribution to
-the bias numerator), so the statistic is the mean of that vector and a
-resample is a mean over indices drawn with replacement.
+the bias numerator), so the statistic is the mean of that vector.  A
+same-size resample drawn with replacement is then fully described by how
+many of its n draws land on +1, 0 and -1: those counts are
+Multinomial(n, (c+, c0, c-) / n) for observed counts c, and the resample
+mean is exactly (n+ - n-) / n.  One multinomial call therefore draws all
+resamples at a cost independent of n; the resampling scheme is the
+nonparametric bootstrap of Efron & Tibshirani, *An Introduction to the
+Bootstrap* (1993).
 """
 
 from __future__ import annotations
@@ -40,32 +46,29 @@ class BootstrapResult:
     generator: str = GENERATOR_NAME
 
 
-def _values(
+def _counts(
     mentions: list[MentionRecord] | list[tuple[str, str]],
     label_a: str,
     label_b: str,
+) -> tuple[int, int, int]:
+    """Mentions valued +1, 0 and -1, in that order."""
+    counts = {1: 0, 0: 0, -1: 0}
+    for m in mentions:
+        entity, cls = (m.entity, m.sentiment) if isinstance(m, MentionRecord) else m
+        counts[mention_value(entity, cls, label_a, label_b)] += 1
+    return counts[1], counts[0], counts[-1]
+
+
+def _resample_means(
+    counts: tuple[int, int, int], n_resamples: int, seed: int
 ) -> np.ndarray:
-    vals = np.empty(len(mentions), dtype=float)
-    for i, m in enumerate(mentions):
-        if isinstance(m, MentionRecord):
-            entity, cls = m.entity, m.sentiment
-        else:
-            entity, cls = m
-        vals[i] = mention_value(entity, cls, label_a, label_b)
-    return vals
-
-
-def _resample_means(vals: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
-    # One child seed per resample, so results do not depend on how the
-    # loop is chunked or scheduled.
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
-    n = vals.size
-    means = np.empty(n_resamples)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
-        means[i] = vals[idx].mean()
-    return means
+    # Sums of +/-1 and 0 are exact, so (n+ - n-) / n is bit-identical to
+    # the mean of a resampled value vector with the same counts.
+    n = sum(counts)
+    draws = np.random.default_rng(seed).multinomial(
+        n, np.asarray(counts, dtype=float) / n, size=n_resamples
+    )
+    return (draws[:, 0] - draws[:, 2]) / n
 
 
 def bootstrap_sb(
@@ -80,8 +83,9 @@ def bootstrap_sb(
 
     Mentions may be MentionRecord objects or (entity, class) pairs.  The
     point estimate comes from the original data alone; ``n_resamples``
-    same-size resamples drawn with replacement yield the percentile
-    interval at ``level``, the sign diagnostic and the standard error.
+    same-size resamples drawn with replacement (as one multinomial draw
+    of their value counts) yield the percentile interval at ``level``,
+    the sign diagnostic and the standard error.
     """
     if not mentions:
         raise ValueError("no mentions to resample")
@@ -89,17 +93,18 @@ def bootstrap_sb(
         raise ValueError(f"n_resamples must be >= 2 for a standard error, got {n_resamples}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    vals = _values(mentions, label_a, label_b)
-    means = _resample_means(vals, n_resamples, seed)
+    counts = _counts(mentions, label_a, label_b)
+    n = sum(counts)
+    means = _resample_means(counts, n_resamples, seed)
     tail = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return BootstrapResult(
-        point=float(vals.mean()),
+        point=(counts[0] - counts[2]) / n,
         ci_low=float(lo),
         ci_high=float(hi),
         p_sign=float(np.mean(means <= 0.0)),
         stderr=float(np.std(means, ddof=1)),
-        n_mentions=vals.size,
+        n_mentions=n,
         n_resamples=n_resamples,
         level=level,
         seed=seed,

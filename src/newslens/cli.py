@@ -84,7 +84,7 @@ def _print_sentiment(state: RunState) -> None:
         b = res.sb_bootstrap
         print(
             f"outlet {outlet}: SB {res.sb_overall.value:+.4f} "
-            f"(95% CI {b.ci_low:+.4f} .. {b.ci_high:+.4f}, "
+            f"({100 * b.level:g}% CI {b.ci_low:+.4f} .. {b.ci_high:+.4f}, "
             f"stderr {b.stderr:.4f}, {len(res.mentions)} mentions)"
         )
         for pos, topic_id in enumerate(res.coverage.topic_ids):

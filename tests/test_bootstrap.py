@@ -35,23 +35,19 @@ class TestBootstrapSb:
 
     @staticmethod
     def replay_means(mentions, n_resamples, seed):
-        """Independent re-derivation of the resample means for oracle checks."""
+        """Independent replay of the resample means for oracle checks.
+
+        Counts the mentions valued +1, 0 and -1, draws all resample
+        count vectors from one multinomial call, and takes each mean as
+        (n+ - n-) / n.
+        """
         value = {"positive": 1, "very_positive": 1, "neutral": 0,
                  "negative": -1, "very_negative": -1}
-        vals = np.array(
-            [
-                value[cls] * (1 if entity == "A" else -1)
-                for entity, cls in mentions
-            ],
-            dtype=float,
-        )
-        children = np.random.SeedSequence(seed).spawn(n_resamples)
-        out = []
-        for child in children:
-            rng = np.random.default_rng(child)
-            idx = rng.integers(0, vals.size, size=vals.size)
-            out.append(vals[idx].mean())
-        return np.asarray(out)
+        vals = [value[cls] * (1 if entity == "A" else -1) for entity, cls in mentions]
+        n = len(vals)
+        p = np.array([vals.count(1), vals.count(0), vals.count(-1)]) / n
+        draws = np.random.default_rng(seed).multinomial(n, p, size=n_resamples)
+        return (draws[:, 0] - draws[:, 2]) / n
 
     def test_bit_identical_for_seed(self):
         a = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=500, seed=9)
@@ -109,15 +105,6 @@ class TestBootstrapSb:
         with pytest.raises(ValueError, match="level"):
             bootstrap_sb(worked_mentions(), "A", "B", level=1.0)
 
-    def test_seed_chunking_independence(self):
-        # means drawn one-per-child must match a single batched derivation,
-        # so worker scheduling cannot change the answer
-        mentions = worked_mentions()
-        res = bootstrap_sb(mentions, "A", "B", n_resamples=64, seed=2)
-        means = self.replay_means(mentions, 64, 2)
-        lo, hi = np.percentile(means, [2.5, 97.5])
-        assert res.ci_low == float(lo) and res.ci_high == float(hi)
-
 
 class TestBootstrapStderr:
     def test_degenerate_is_zero(self):
@@ -143,3 +130,60 @@ class TestBootstrapStderr:
         var = vals.var()  # plug-in population variance of the sample
         analytic = math.sqrt(var / 1000)
         assert res.stderr == pytest.approx(analytic, rel=0.10)
+
+
+def spawned_means(vals, n_resamples, seed):
+    """Index resampling with one spawned generator per resample.
+
+    The scheme ``bootstrap_sb`` used before its multinomial draw, kept as
+    an oracle for the distribution of the resample means.
+    """
+    children = np.random.SeedSequence(seed).spawn(n_resamples)
+    means = np.empty(n_resamples)
+    for i, child in enumerate(children):
+        idx = np.random.default_rng(child).integers(0, vals.size, size=vals.size)
+        means[i] = vals[idx].mean()
+    return means
+
+
+def mentions_from_counts(n_pos, n_neu, n_neg):
+    return (
+        [("A", "positive")] * n_pos + [("B", "neutral")] * n_neu + [("B", "positive")] * n_neg
+    )
+
+
+class TestAgainstIndexResampling:
+    # (n+, n0, n-) over 400 mentions
+    MIXES = {
+        "balanced": (150, 100, 150),
+        "one_sided_near_plus_one": (384, 10, 6),
+        "mostly_neutral": (30, 350, 20),
+    }
+
+    @pytest.mark.parametrize("mix", sorted(MIXES))
+    def test_percentiles_and_stderr_agree(self, mix):
+        counts = self.MIXES[mix]
+        n = sum(counts)
+        vals = np.repeat([1.0, 0.0, -1.0], counts)
+        old = spawned_means(vals, 2000, seed=31)
+        res = bootstrap_sb(mentions_from_counts(*counts), "A", "B", n_resamples=2000, seed=31)
+        # both estimate sqrt(var / n); each side's stderr has a relative
+        # Monte Carlo error near 1 / sqrt(2 B) = 1.6%, and each 2.5%
+        # percentile an error near 0.06 stderr
+        analytic = math.sqrt(vals.var() / n)
+        assert res.stderr == pytest.approx(analytic, rel=0.08)
+        assert res.stderr == pytest.approx(float(np.std(old, ddof=1)), rel=0.10)
+        lo, hi = np.percentile(old, [2.5, 97.5])
+        assert abs(res.ci_low - lo) <= 0.4 * analytic
+        assert abs(res.ci_high - hi) <= 0.4 * analytic
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 400, 24001])
+    def test_count_form_is_bit_identical_to_indexed_mean(self, n):
+        rng = np.random.default_rng(n)
+        vals = rng.choice([1.0, 0.0, -1.0], size=n)
+        for _ in range(20):
+            idx = rng.integers(0, n, size=n)
+            n_pos = int(np.count_nonzero(vals[idx] == 1.0))
+            n_neg = int(np.count_nonzero(vals[idx] == -1.0))
+            assert (n_pos - n_neg) / n == vals[idx].mean()
+            assert (np.array([n_pos]) - np.array([n_neg])) / n == vals[idx].mean()

@@ -116,6 +116,16 @@ class TestStageCommands:
         assert rc == 0
         assert "SB" in capsys.readouterr().out
 
+    def test_sentiment_prints_configured_ci_level(self, run_dir, capsys):
+        cfg = run_dir / "config.yaml"
+        text = cfg.read_text(encoding="utf-8")
+        assert "level: 0.95" in text
+        cfg.write_text(text.replace("level: 0.95", "level: 0.9"), encoding="utf-8")
+        assert invoke("sentiment", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert "(90% CI " in out
+        assert "95% CI" not in out
+
     def test_correlate_prints_rho(self, run_dir, capsys):
         rc = invoke("correlate", "--config", str(run_dir / "config.yaml"))
         assert rc == 0

@@ -323,17 +323,29 @@ def _polarity(sentiment: str) -> int:
     return pol
 
 
+# Offset of each polarity within an entity's (pos, neg, neu) fields.
+_TALLY_OFFSET = {1: 0, -1: 1, 0: 2}
+
+
+def _tally_field(m: MentionRecord, label_a: str, label_b: str) -> int:
+    """Position of a mention among the SentimentTally counts:
+    pos_a, neg_a, neu_a, pos_b, neg_b, neu_b."""
+    if m.entity == label_a:
+        base = 0
+    elif m.entity == label_b:
+        base = 3
+    else:
+        raise ValueError(f"mention entity {m.entity!r} is neither {label_a!r} nor {label_b!r}")
+    return base + _TALLY_OFFSET[_polarity(m.sentiment)]
+
+
 def tally_mentions(
     mentions: list[MentionRecord], label_a: str, label_b: str
 ) -> SentimentTally:
-    # in SentimentTally field order: pos_a, neg_a, neu_a, pos_b, neg_b, neu_b
-    keys = [(label, pol) for label in (label_a, label_b) for pol in (1, -1, 0)]
-    counts = dict.fromkeys(keys, 0)
+    counts = [0] * 6
     for m in mentions:
-        if m.entity not in (label_a, label_b):
-            raise ValueError(f"mention entity {m.entity!r} is neither {label_a!r} nor {label_b!r}")
-        counts[(m.entity, _polarity(m.sentiment))] += 1
-    return SentimentTally(label_a, label_b, *(counts[k] for k in keys))
+        counts[_tally_field(m, label_a, label_b)] += 1
+    return SentimentTally(label_a, label_b, *counts)
 
 
 def sentiment_bias(tally: SentimentTally) -> SbStatistic:
@@ -392,7 +404,10 @@ def per_topic_sb(
     on i (H[j, i] / sum_k H[j, k]) is at least ``membership_threshold``.
     Topics with fewer than ``min_mentions`` member mentions are reported
     as None.  Mentions from articles absent from the factorization are
-    ignored.
+    ignored; every other mention must name one of the two labels with a
+    known sentiment class, or ValueError is raised.  Each mention is
+    classified once, counted per article, and the articles' counts are
+    summed into every topic they belong to.
     """
     if not 0.0 < membership_threshold <= 1.0:
         raise ValueError(f"membership_threshold must be in (0, 1], got {membership_threshold}")
@@ -401,19 +416,22 @@ def per_topic_sb(
     row_sums = factors.H.sum(axis=1)
     nonzero = row_sums > 0
     shares[nonzero] = factors.H[nonzero] / row_sums[nonzero, None]
+    member = shares >= membership_threshold
 
-    per_topic: list[list[MentionRecord]] = [[] for _ in range(factors.n_topics)]
-    for m in mentions:
-        j = row_of.get(m.article_id)
-        if j is None:
-            continue
-        for i in range(factors.n_topics):
-            if shares[j, i] >= membership_threshold:
-                per_topic[i].append(m)
+    cells = np.fromiter(
+        (
+            row_of[m.article_id] * 6 + _tally_field(m, label_a, label_b)
+            for m in mentions
+            if m.article_id in row_of
+        ),
+        dtype=np.intp,
+    )
+    n_docs = factors.H.shape[0]
+    per_doc = np.bincount(cells, minlength=n_docs * 6).reshape(n_docs, 6)
     out: list[SbStatistic | None] = []
-    for i in range(factors.n_topics):
-        if len(per_topic[i]) < min_mentions:
+    for counts in (member.T.astype(np.int64) @ per_doc).tolist():
+        if sum(counts) < min_mentions:
             out.append(None)
         else:
-            out.append(sentiment_bias(tally_mentions(per_topic[i], label_a, label_b)))
+            out.append(sentiment_bias(SentimentTally(label_a, label_b, *counts)))
     return out

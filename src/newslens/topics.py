@@ -1,9 +1,10 @@
 """Topic decomposition and daily topic coverage.
 
 Factorizes the document-term matrix M (docs x terms) as H @ W with
-non-negative factors: H holds per-document topic loadings, W holds
-per-topic term weights.  Coverage turns the loadings into one daily
-series per topic, weighted by document length.
+non-negative factors, by hierarchical alternating least squares: H holds
+per-document topic loadings, W holds per-topic term weights.  Coverage
+turns the loadings into one daily series per topic, weighted by document
+length.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ __all__ = [
     "agenda_profile",
 ]
 
-_EPS = 1e-12
+# Ulps of ||X||^2 that the expanded-form squared error may be off by.
+_ROUNDING_ULPS = 16
 
 NORMALIZATION_MODES = ("per_day_share", "per_topic_area", "none")
 
@@ -36,9 +38,10 @@ class NmfFactors:
     """Result of a non-negative factorization M ~ H @ W.
 
     W rows are L2-normalized, with the scale folded into H columns.
-    ``errors`` holds the Frobenius reconstruction error before the first
-    update and after every full iteration; ``doc_ids`` aligns H rows with
-    the articles behind them.  ``converged`` is true when the fit stopped
+    ``errors`` holds the Frobenius reconstruction error of the scaled
+    start and after every full iteration (one sweep over the rows of W,
+    then one over the columns of H); ``doc_ids`` aligns H rows with the
+    articles behind them.  ``converged`` is true when the fit stopped
     on its tolerance, false when it ran into the iteration cap.
     """
 
@@ -68,7 +71,8 @@ def nmf_factorize(
     tol: float = 1e-5,
     max_iter: int = 500,
 ) -> NmfFactors:
-    """Multiplicative-update NMF minimizing the Frobenius error.
+    """NMF by hierarchical alternating least squares, minimizing the
+    Frobenius error.
 
     Parameters
     ----------
@@ -80,29 +84,39 @@ def nmf_factorize(
         Seeds the uniform (0, 1] initialization of both factors.
     tol : float
         Stop once the relative error improvement per iteration falls
-        below this.
+        to this or below.
     max_iter : int
         Hard iteration cap.
 
-    Each iteration applies
+    Both factors start from uniform (0, 1] draws, scaled by
+    sqrt(<X, H @ W> / ||H @ W||^2) so that H @ W is the best multiple of
+    itself; an unscaled start overshoots and the first sweep zeroes most
+    topics.  Each iteration (Cichocki & Phan 2009) then minimizes the
+    error exactly over one topic at a time, first every row of W, then
+    every column of H:
 
-        H <- H * (X @ W') / (H @ W @ W' + eps)
-        W <- W * (H' @ X) / (H' @ H @ W + eps)
+        W[j] <- max(0, W[j] + (HtX[j] - HtH[j] @ W) / HtH[j, j])
+        H[:, j] <- max(0, H[:, j] + (XWt[:, j] - H @ WWt[:, j]) / WWt[j, j])
 
-    which never increases the reconstruction error.  After convergence W
-    rows are L2-normalized and the scale folded into H, leaving H @ W
-    unchanged.
+    with HtX = H' @ X and HtH = H' @ H fixed during the W sweep, XWt =
+    X @ W' and WWt = W @ W' during the H sweep.  A topic whose Gram
+    diagonal is zero has nothing to fit and is left as it is.  No sweep
+    increases the reconstruction error.  After convergence W rows are
+    L2-normalized and the scale folded into H, leaving H @ W unchanged.
 
     The error is checked after every iteration from the products the
-    updates need anyway: with XWt = X @ W' and WWt = W @ W' (reused by
-    the next H update) and HtH = H' @ H (from the W update),
+    sweeps need anyway:
 
         ||X - H @ W||^2 = ||X||^2 - 2 <XWt, H> + <HtH, WWt>,
 
     with ||X||^2 computed once from the stored entries.  X is never made
     dense and no docs x terms array is allocated.  Rounding can leave the
     difference slightly negative near an exact fit, so it is clamped at
-    zero.
+    zero.  The difference carries rounding of a few ulps of ||X||^2, so
+    its square root carries about eps * ||X||^2 / error; an improvement
+    of at most max(tol * prev, 16 * eps * ||X||^2 / prev), with prev the
+    previous error and eps the float64 machine epsilon, counts as none
+    and stops the fit.
     """
     x = _as_csr(matrix)
     d, t = x.shape
@@ -118,10 +132,9 @@ def nmf_factorize(
         raise ValueError("input matrix must be non-negative")
 
     x_sq = float(x.multiply(x).sum())  # sums any duplicate entries first
+    floor = _ROUNDING_ULPS * np.finfo(float).eps * x_sq
 
-    def error(h, hth, xwt, wwt) -> float:
-        cross = float(np.sum(xwt * h))
-        gram = float(np.sum(hth * wwt))
+    def error(cross: float, gram: float) -> float:
         return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
 
     rng = np.random.default_rng(seed)
@@ -129,24 +142,29 @@ def nmf_factorize(
     h = 1.0 - rng.random((d, n_topics))
     w = 1.0 - rng.random((n_topics, t))
 
-    xwt = np.asarray(x @ w.T)
-    wwt = w @ w.T
-    errors = [error(h, h.T @ h, xwt, wwt)]
+    # Scaling both factors by s scales <X, HW> by s^2 and ||HW||^2 by s^4.
+    cross = float(np.sum(np.asarray(x @ w.T) * h))
+    gram = float(np.sum((h.T @ h) * (w @ w.T)))
+    ratio = cross / gram
+    h *= np.sqrt(ratio)
+    w *= np.sqrt(ratio)
+    errors = [error(ratio * cross, ratio * ratio * gram)]
+    hth = h.T @ h
     iterations = 0
     converged = False
     for it in range(1, max_iter + 1):
-        h *= xwt / (h @ wwt + _EPS)
-        hth = h.T @ h
-        w *= np.asarray(h.T @ x) / (hth @ w + _EPS)
+        _sweep(w, hth, np.asarray(h.T @ x))
         xwt = np.asarray(x @ w.T)
         wwt = w @ w.T
-        err = error(h, hth, xwt, wwt)
+        _sweep(h.T, wwt, xwt.T)
+        hth = h.T @ h
+        err = error(float(np.sum(xwt * h)), float(np.sum(hth * wwt)))
         if not np.isfinite(err):
             raise ValueError(f"reconstruction error diverged at iteration {it}")
         prev = errors[-1]
         errors.append(err)
         iterations = it
-        if prev == 0.0 or (prev - err) / prev < tol:
+        if prev == 0.0 or prev - err <= max(tol * prev, floor / prev):
             converged = True
             break
 
@@ -174,6 +192,20 @@ def nmf_factorize(
         vocab=vocab,
         converged=converged,
     )
+
+
+def _sweep(factor: np.ndarray, gram: np.ndarray, rhs: np.ndarray) -> None:
+    """One HALS pass over the rows of ``factor`` (k x n), in place.
+
+    With the other factor A fixed, ``gram`` = A' @ A and ``rhs`` = A' @ X.
+    Row j becomes the non-negative minimizer of ||X - A @ factor||^2 over
+    that row alone, the other rows as they stand: rows already swept count
+    with their new values.
+    """
+    for j in range(factor.shape[0]):
+        if gram[j, j] > 0.0:
+            step = (rhs[j] - gram[j] @ factor) / gram[j, j]
+            factor[j] = np.maximum(factor[j] + step, 0.0)
 
 
 def top_keywords(factors: NmfFactors, k: int = 10) -> list[list[str]]:
@@ -248,11 +280,11 @@ def topic_weight_series(
     first = min(a.date for a in used)
     last = max(a.date for a in used)
     n_days = (last - first).days + 1
+    days = np.array([(a.date - first).days for a in used], dtype=np.intp)
+    lengths = np.array([len(a.tokens) for a in used], dtype=float)
     raw = np.zeros((factors.n_topics, n_days))
-    for j, art in enumerate(used):
-        d = (art.date - first).days
-        length = len(art.tokens)
-        raw[:, d] += length * factors.H[j, :]
+    # Unbuffered, in article order: each day sums its articles as a loop would.
+    np.add.at(raw.T, days, lengths[:, None] * factors.H)
 
     raw_series = tuple(
         DatedSeries(first, raw[i], label=f"topic_{i}_raw") for i in kept

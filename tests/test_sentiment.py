@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from newslens.config import load_config
+from newslens.pipeline import run_pipeline
 from newslens.corpus import EntitySpec, load_articles, split_sentences
 from newslens.series import DatedSeries, sliding_mean
 from newslens.sentiment import (
@@ -580,3 +581,67 @@ class TestPerTopicSb:
         factors = self.factors([[1.0]], ["a1"])
         with pytest.raises(ValueError, match="membership_threshold"):
             per_topic_sb([], factors, "A", "B", membership_threshold=0.0)
+
+
+def reference_per_topic_sb(mentions, factors, label_a, label_b, threshold, min_mentions):
+    """per_topic_sb as a loop over mentions x topics, one tally per topic."""
+    row_of = {doc_id: j for j, doc_id in enumerate(factors.doc_ids)}
+    shares = np.zeros_like(factors.H)
+    row_sums = factors.H.sum(axis=1)
+    nonzero = row_sums > 0
+    shares[nonzero] = factors.H[nonzero] / row_sums[nonzero, None]
+    per_topic = [[] for _ in range(factors.n_topics)]
+    for m in mentions:
+        j = row_of.get(m.article_id)
+        if j is None:
+            continue
+        for i in range(factors.n_topics):
+            if shares[j, i] >= threshold:
+                per_topic[i].append(m)
+    return [
+        None if len(ms) < min_mentions
+        else sentiment_bias(tally_mentions(ms, label_a, label_b))
+        for ms in per_topic
+    ]
+
+
+class TestPerTopicSbAgainstLoop:
+    def check(self, mentions, factors, label_a, label_b, threshold, min_mentions):
+        got = per_topic_sb(mentions, factors, label_a, label_b, threshold, min_mentions)
+        want = reference_per_topic_sb(mentions, factors, label_a, label_b, threshold, min_mentions)
+        assert got == want
+        for stat in got:
+            if stat is not None:
+                assert all(type(getattr(stat.tally, f)) is int for f in ("pos_a", "neu_b"))
+        return got
+
+    def test_build_run_dir_corpus(self, tmp_path):
+        cfg = load_config(build_run_dir(tmp_path))
+        res = run_pipeline(cfg, through="sentiment").state.outlets["outlet_one"]
+        a, b = cfg.entities[0].label, cfg.entities[1].label
+        for threshold, min_mentions in [(cfg.membership_threshold, cfg.min_topic_mentions),
+                                        (0.2, 1), (0.6, 5), (1.0, 1)]:
+            self.check(res.mentions, res.factors, a, b, threshold, min_mentions)
+
+    def test_threshold_tie_counts_as_member(self):
+        # shares 1/4, 1/4, 1/2 and 1/2, 1/4, 1/4 are exact: 0.25 is a tie
+        factors = TestPerTopicSb().factors([[1.0, 1.0, 2.0], [2.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+                                           ["a1", "a2", "a3"])
+        records = [
+            mention("A", "positive", art="a1"),
+            mention("B", "very_negative", art="a1"),
+            mention("A", "neutral", art="a2"),
+            mention("B", "positive", art="a2"),
+            mention("A", "negative", art="a3"),
+            mention("A", "positive", art="missing"),
+        ]
+        out = self.check(records, factors, "A", "B", 0.25, 1)
+        assert [s.tally.total for s in out] == [4, 4, 4]
+        assert self.check(records, factors, "A", "B", 0.5, 1)[1] is None
+
+    def test_invalid_mention_rejected(self):
+        factors = TestPerTopicSb().factors([[1.0]], ["a1"])
+        with pytest.raises(ValueError, match="neither"):
+            per_topic_sb([mention("C", "positive")], factors, "A", "B", min_mentions=1)
+        with pytest.raises(ValueError, match="unknown sentiment class"):
+            per_topic_sb([mention("A", "glad")], factors, "A", "B", min_mentions=1)

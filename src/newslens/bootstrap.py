@@ -1,14 +1,15 @@
 """Bootstrap uncertainty for the sentiment-bias statistic.
 
-Each labeled mention maps to a value in {-1, 0, +1} (its contribution to
-the bias numerator), so the statistic is the mean of that vector.  A
-same-size resample drawn with replacement is then fully described by how
-many of its n draws land on +1, 0 and -1: those counts are
-Multinomial(n, (c+, c0, c-) / n) for observed counts c, and the resample
-mean is exactly (n+ - n-) / n.  One multinomial call therefore draws all
-resamples at a cost independent of n; the resampling scheme is the
-nonparametric bootstrap of Efron & Tibshirani, *An Introduction to the
-Bootstrap* (1993).
+Each labeled mention has a value in {-1, 0, +1} (its contribution to the
+bias numerator), so the statistic is the mean of those values, and a
+``SentimentTally`` holds all the data needed: its ``value_counts`` c.  A
+same-size resample drawn with replacement is fully described by how many
+of its n draws land on +1, 0 and -1: those counts are
+Multinomial(n, (c+, c0, c-) / n), and the resample mean is exactly
+(n+ - n-) / n.  One multinomial call therefore draws all resamples at a
+cost independent of n, for the overall tally or any sub-tally such as a
+topic's; the resampling scheme is the nonparametric bootstrap of Efron &
+Tibshirani, *An Introduction to the Bootstrap* (1993).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sentiment import MentionRecord, mention_value
+from .sentiment import SentimentTally, sentiment_bias
 
 __all__ = ["BootstrapResult", "bootstrap_sb"]
 
@@ -46,19 +47,6 @@ class BootstrapResult:
     generator: str = GENERATOR_NAME
 
 
-def _counts(
-    mentions: list[MentionRecord] | list[tuple[str, str]],
-    label_a: str,
-    label_b: str,
-) -> tuple[int, int, int]:
-    """Mentions valued +1, 0 and -1, in that order."""
-    counts = {1: 0, 0: 0, -1: 0}
-    for m in mentions:
-        entity, cls = (m.entity, m.sentiment) if isinstance(m, MentionRecord) else m
-        counts[mention_value(entity, cls, label_a, label_b)] += 1
-    return counts[1], counts[0], counts[-1]
-
-
 def _resample_means(
     counts: tuple[int, int, int], n_resamples: int, seed: int
 ) -> np.ndarray:
@@ -72,41 +60,35 @@ def _resample_means(
 
 
 def bootstrap_sb(
-    mentions: list[MentionRecord] | list[tuple[str, str]],
-    label_a: str,
-    label_b: str,
+    tally: SentimentTally,
     n_resamples: int = 10000,
     level: float = 0.95,
     seed: int = 0,
 ) -> BootstrapResult:
-    """Percentile bootstrap for the sentiment bias of a mention set.
+    """Percentile bootstrap for the sentiment bias of a tally.
 
-    Mentions may be MentionRecord objects or (entity, class) pairs.  The
-    point estimate comes from the original data alone; ``n_resamples``
-    same-size resamples drawn with replacement (as one multinomial draw
-    of their value counts) yield the percentile interval at ``level``,
-    the sign diagnostic and the standard error.
+    The point estimate is the tally's sentiment bias; ``n_resamples``
+    same-size resamples of its mentions drawn with replacement (as one
+    multinomial draw of their value counts) yield the percentile
+    interval at ``level``, the sign diagnostic and the standard error.
     """
-    if not mentions:
+    if tally.total == 0:
         raise ValueError("no mentions to resample")
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2 for a standard error, got {n_resamples}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    counts = _counts(mentions, label_a, label_b)
-    n = sum(counts)
-    means = _resample_means(counts, n_resamples, seed)
+    means = _resample_means(tally.value_counts, n_resamples, seed)
     tail = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return BootstrapResult(
-        point=(counts[0] - counts[2]) / n,
+        point=sentiment_bias(tally).value,
         ci_low=float(lo),
         ci_high=float(hi),
         p_sign=float(np.mean(means <= 0.0)),
         stderr=float(np.std(means, ddof=1)),
-        n_mentions=n,
+        n_mentions=tally.total,
         n_resamples=n_resamples,
         level=level,
         seed=seed,
     )
-

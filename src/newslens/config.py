@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -11,7 +12,13 @@ import yaml
 from .corpus import EntitySpec
 from .topics import NORMALIZATION_MODES
 
-__all__ = ["PipelineConfig", "load_config"]
+__all__ = ["PipelineConfig", "load_config", "outlet_slug"]
+
+
+def outlet_slug(name: str) -> str:
+    """The tag an outlet's output files are named by."""
+    s = re.sub(r"[^A-Za-z0-9_]+", "_", name).strip("_").lower()
+    return s or "outlet"
 
 
 class _RangeError(ValueError):
@@ -54,6 +61,13 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.articles:
             raise ValueError("config: at least one outlet article file required")
+        by_tag: dict[str, str] = {}
+        for name in self.articles:
+            tag = outlet_slug(name)
+            if by_tag.setdefault(tag, name) != name:
+                raise ValueError(
+                    f"config: outlets {by_tag[tag]!r} and {name!r} share the file tag {tag!r}"
+                )
         if len(self.entities) != 2:
             raise ValueError(f"config: exactly two entities required, got {len(self.entities)}")
         a, b = self.entities
@@ -71,7 +85,7 @@ class PipelineConfig:
             )
         lows = {
             "window_days": 1, "max_lag": 0, "min_df": 1, "keywords_per_topic": 1,
-            "n_perm": 1, "bootstrap_b": 2,
+            "n_perm": 1, "bootstrap_b": 2, "min_topic_mentions": 1,
         }
         for name, low in lows.items():
             if getattr(self, name) < low:

@@ -22,6 +22,7 @@ from .sentiment import (
     Lexicon,
     MentionRecord,
     SbStatistic,
+    SentimentTally,
     default_lexicon,
     load_labels,
     load_lexicon,
@@ -29,7 +30,7 @@ from .sentiment import (
     per_topic_sb,
     sb_series,
     sentiment_bias,
-    tally_mentions,
+    tally_codes,
 )
 from .series import DatedSeries
 from .topics import (
@@ -316,11 +317,14 @@ def stage_sentiment(state: RunState) -> None:
         )
         if not res.mentions:
             raise ValueError(f"outlet {outlet}: no entity mentions extracted")
-        res.sb_overall = sentiment_bias(tally_mentions(res.mentions, label_a, label_b))
-        res.sb_daily = sb_series(res.mentions, label_a, label_b, cfg.window_days)
+        codes = tally_codes(res.mentions, label_a, label_b)
+        tally = SentimentTally.from_codes(label_a, label_b, codes)
+        res.sb_overall = sentiment_bias(tally)
+        res.sb_daily = sb_series(res.mentions, codes, cfg.window_days)
         if res.factors is not None:
             by_topic = per_topic_sb(
                 res.mentions,
+                codes,
                 res.factors,
                 label_a,
                 label_b,
@@ -329,9 +333,7 @@ def stage_sentiment(state: RunState) -> None:
             )
             kept = res.coverage.topic_ids if res.coverage else range(len(by_topic))
             res.sb_by_topic = [by_topic[i] for i in kept]
-        res.sb_bootstrap = bootstrap_sb(
-            res.mentions, label_a, label_b, cfg.bootstrap_b, cfg.bootstrap_gamma, cfg.seed
-        )
+        res.sb_bootstrap = bootstrap_sb(tally, cfg.bootstrap_b, cfg.bootstrap_gamma, cfg.seed)
 
 
 @_stage("correlate")

@@ -11,22 +11,17 @@ import csv
 import hashlib
 import json
 import logging
-import re
 from datetime import timedelta
 from pathlib import Path
 
 from .charts import line_chart, radar_chart
+from .config import outlet_slug
 from .pipeline import ReportBundle
 from .series import DatedSeries
 
 __all__ = ["emit_outputs"]
 
 log = logging.getLogger(__name__)
-
-
-def _slug(name: str) -> str:
-    s = re.sub(r"[^A-Za-z0-9_]+", "_", name).strip("_").lower()
-    return s or "outlet"
 
 
 def _write_series_csv(path: Path, columns: list[DatedSeries]) -> None:
@@ -79,7 +74,7 @@ def emit_outputs(bundle: ReportBundle, out_dir) -> dict:
 
         for name in sorted(state.outlets):
             res = state.outlets[name]
-            tag = _slug(name)
+            tag = outlet_slug(name)
 
             if res.mention_series:
                 cols = [res.mention_series[k] for k in sorted(res.mention_series)]

@@ -30,15 +30,14 @@ __all__ = [
     "load_lexicon",
     "default_lexicon",
     "score_sentence",
-    "extract_mentions",
     "MentionRecord",
     "mention_records",
     "load_labels",
     "SentimentTally",
+    "tally_codes",
     "tally_mentions",
     "SbStatistic",
     "sentiment_bias",
-    "mention_value",
     "sb_series",
     "per_topic_sb",
 ]
@@ -52,7 +51,8 @@ SENTIMENT_CLASSES = (
     "positive",
     "very_positive",
 )
-_POLARITY = dict(zip(SENTIMENT_CLASSES, (-1, -1, 0, 1, 1)))
+# Offset of each class within an entity's (pos, neg, neu) tally fields.
+_CLASS_OFFSET = dict(zip(SENTIMENT_CLASSES, (1, 1, 2, 0, 0)))
 
 _VALENCES = {-2, -1, 1, 2}
 
@@ -175,23 +175,6 @@ def _attribute(sent: str, named: tuple[EntitySpec, ...]) -> list[tuple[EntitySpe
     ]
 
 
-def extract_mentions(
-    article: Article, entities: tuple[EntitySpec, ...]
-) -> list[tuple[int, EntitySpec, str]]:
-    """(sentence index, entity, clause) triples for every entity mention.
-
-    A sentence naming exactly one entity yields one mention carrying the
-    whole sentence.  A sentence naming several is split into clauses at
-    commas, semicolons, and coordinating conjunctions, and each clause is
-    attributed to the entities it names.
-    """
-    return [
-        (idx, entity, clause)
-        for idx, sent in enumerate(article.sentences)
-        for entity, clause in _attribute(sent, tuple(named_entities(sent, entities)))
-    ]
-
-
 @dataclass(frozen=True)
 class MentionRecord:
     """One scored entity mention."""
@@ -245,10 +228,13 @@ def mention_records(
     Each article's sentences are read once and each sentence's entities
     found once.  A sentence counts toward every entity it names, on its
     article's day (days without articles count zero); the daily counts
-    are smoothed with a trailing ``window_days`` mean.  The mentions are
-    those of ``extract_mentions``, in article order.  When ``labels`` is
-    given, a sentence with a precomputed label uses it for all its
-    mentions; unlabeled sentences fall back to the rule scorer.
+    are smoothed with a trailing ``window_days`` mean.  A sentence naming
+    one entity is one mention; a sentence naming several is split into
+    clauses at commas, semicolons and coordinating conjunctions, each
+    clause a mention of every entity it names.  Mentions come in article
+    order.  When ``labels`` is given, a sentence with a precomputed label
+    uses it for all its mentions; unlabeled sentences fall back to the
+    rule scorer.
     """
     if not articles:
         raise ValueError("no articles")
@@ -286,6 +272,12 @@ def mention_records(
 
 # --- bias statistics ------------------------------------------------------
 
+# Each SentimentTally field's contribution to the bias numerator, in field
+# order: a positive mention of A or a negative mention of B counts +1, a
+# negative mention of A or a positive mention of B -1, a neutral one 0.
+FIELD_SIGNS = (1, -1, 0, -1, 1, 0)
+
+
 @dataclass(frozen=True)
 class SentimentTally:
     """Mention counts by entity and polarity (very_* folded into pos/neg)."""
@@ -299,11 +291,26 @@ class SentimentTally:
     neg_b: int = 0
     neu_b: int = 0
 
+    @classmethod
+    def from_codes(cls, label_a: str, label_b: str, codes: np.ndarray) -> SentimentTally:
+        """The tally of mentions coded by ``tally_codes``."""
+        return cls(label_a, label_b, *np.bincount(codes, minlength=6).tolist())
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """The six counts in field order, the order of ``tally_codes``."""
+        return (self.pos_a, self.neg_a, self.neu_a, self.pos_b, self.neg_b, self.neu_b)
+
     @property
     def total(self) -> int:
-        return (
-            self.pos_a + self.neg_a + self.neu_a
-            + self.pos_b + self.neg_b + self.neu_b
+        return sum(self.counts)
+
+    @property
+    def value_counts(self) -> tuple[int, int, int]:
+        """Mentions valued +1, 0 and -1 in the bias numerator."""
+        return tuple(
+            sum(n for n, sign in zip(self.counts, FIELD_SIGNS) if sign == value)
+            for value in (1, 0, -1)
         )
 
 
@@ -315,37 +322,35 @@ class SbStatistic:
     tally: SentimentTally
 
 
-def _polarity(sentiment: str) -> int:
-    """+1 for a positive class, -1 for a negative one, 0 for neutral."""
-    pol = _POLARITY.get(sentiment)
-    if pol is None:
-        raise ValueError(f"unknown sentiment class {sentiment!r}")
-    return pol
+def tally_codes(mentions: list[MentionRecord], label_a: str, label_b: str) -> np.ndarray:
+    """Each mention's SentimentTally field index, 0-5 in the order pos_a,
+    neg_a, neu_a, pos_b, neg_b, neu_b.
 
-
-# Offset of each polarity within an entity's (pos, neg, neu) fields.
-_TALLY_OFFSET = {1: 0, -1: 1, 0: 2}
-
-
-def _tally_field(m: MentionRecord, label_a: str, label_b: str) -> int:
-    """Position of a mention among the SentimentTally counts:
-    pos_a, neg_a, neu_a, pos_b, neg_b, neu_b."""
-    if m.entity == label_a:
-        base = 0
-    elif m.entity == label_b:
-        base = 3
-    else:
-        raise ValueError(f"mention entity {m.entity!r} is neither {label_a!r} nor {label_b!r}")
-    return base + _TALLY_OFFSET[_polarity(m.sentiment)]
+    The one place a mention is classified.  A mention whose entity is
+    neither label, or whose class is unknown, raises ValueError.
+    """
+    code = {
+        (label, cls): base + offset
+        for label, base in ((label_b, 3), (label_a, 0))
+        for cls, offset in _CLASS_OFFSET.items()
+    }
+    try:
+        return np.fromiter(
+            (code[m.entity, m.sentiment] for m in mentions), dtype=np.int8, count=len(mentions)
+        )
+    except KeyError as exc:
+        entity, cls = exc.args[0]
+        if entity not in (label_a, label_b):
+            raise ValueError(
+                f"mention entity {entity!r} is neither {label_a!r} nor {label_b!r}"
+            ) from None
+        raise ValueError(f"unknown sentiment class {cls!r}") from None
 
 
 def tally_mentions(
     mentions: list[MentionRecord], label_a: str, label_b: str
 ) -> SentimentTally:
-    counts = [0] * 6
-    for m in mentions:
-        counts[_tally_field(m, label_a, label_b)] += 1
-    return SentimentTally(label_a, label_b, *counts)
+    return SentimentTally.from_codes(label_a, label_b, tally_codes(mentions, label_a, label_b))
 
 
 def sentiment_bias(tally: SentimentTally) -> SbStatistic:
@@ -357,41 +362,31 @@ def sentiment_bias(tally: SentimentTally) -> SbStatistic:
     total = tally.total
     if total == 0:
         raise ValueError("cannot compute sentiment bias of an empty tally")
-    numer = tally.pos_a - tally.neg_a - tally.pos_b + tally.neg_b
-    return SbStatistic(value=numer / total, tally=tally)
-
-
-def mention_value(entity: str, sentiment: str, label_a: str, label_b: str) -> int:
-    """Per-mention contribution to the bias numerator: +1, -1, or 0."""
-    if entity == label_a:
-        sign = 1
-    elif entity == label_b:
-        sign = -1
-    else:
-        raise ValueError(f"entity {entity!r} is neither {label_a!r} nor {label_b!r}")
-    return sign * _polarity(sentiment)
+    plus, _, minus = tally.value_counts
+    return SbStatistic(value=(plus - minus) / total, tally=tally)
 
 
 def sb_series(
     mentions: list[MentionRecord],
-    label_a: str,
-    label_b: str,
+    codes: np.ndarray,
     window_days: int = 7,
 ) -> DatedSeries:
     """Daily sentiment bias over a trailing window-pooled tally.
 
-    Day d pools all mentions dated in (d - window_days, d] into one tally.
-    Days whose window is empty carry the previous value forward; the
-    series starts at the first day with a non-empty window.
+    ``codes`` are the mentions' ``tally_codes``.  Day d pools all mentions
+    dated in (d - window_days, d] into one tally.  Days whose window is
+    empty carry the previous value forward; the series starts at the
+    first day with a non-empty window.
     """
     if not mentions:
         raise ValueError("no mentions")
-    pairs = ((m.date, mention_value(m.entity, m.sentiment, label_a, label_b)) for m in mentions)
+    pairs = zip((m.date for m in mentions), (FIELD_SIGNS[c] for c in codes), strict=True)
     return pooled_window_mean(pairs, window_days, "sentiment_bias")
 
 
 def per_topic_sb(
     mentions: list[MentionRecord],
+    codes: np.ndarray,
     factors,
     label_a: str,
     label_b: str,
@@ -400,17 +395,20 @@ def per_topic_sb(
 ) -> list[SbStatistic | None]:
     """Sentiment bias restricted to each topic's member articles.
 
-    A mention counts toward topic i when its article's share of loading
-    on i (H[j, i] / sum_k H[j, k]) is at least ``membership_threshold``.
-    Topics with fewer than ``min_mentions`` member mentions are reported
-    as None.  Mentions from articles absent from the factorization are
-    ignored; every other mention must name one of the two labels with a
-    known sentiment class, or ValueError is raised.  Each mention is
-    classified once, counted per article, and the articles' counts are
-    summed into every topic they belong to.
+    ``codes`` are the mentions' ``tally_codes``.  A mention counts toward
+    topic i when its article's share of loading on i (H[j, i] /
+    sum_k H[j, k]) is at least ``membership_threshold``.  Topics with
+    fewer than ``min_mentions`` member mentions are reported as None.
+    Mentions from articles absent from the factorization are ignored.
+    The coded mentions are counted per article, and the articles' counts
+    are summed into every topic they belong to.
     """
     if not 0.0 < membership_threshold <= 1.0:
         raise ValueError(f"membership_threshold must be in (0, 1], got {membership_threshold}")
+    if min_mentions < 1:
+        raise ValueError(f"min_mentions must be >= 1, got {min_mentions}")
+    if len(codes) != len(mentions):
+        raise ValueError(f"{len(codes)} codes for {len(mentions)} mentions")
     row_of = {doc_id: j for j, doc_id in enumerate(factors.doc_ids)}
     shares = np.zeros_like(factors.H)
     row_sums = factors.H.sum(axis=1)
@@ -418,20 +416,14 @@ def per_topic_sb(
     shares[nonzero] = factors.H[nonzero] / row_sums[nonzero, None]
     member = shares >= membership_threshold
 
-    cells = np.fromiter(
-        (
-            row_of[m.article_id] * 6 + _tally_field(m, label_a, label_b)
-            for m in mentions
-            if m.article_id in row_of
-        ),
-        dtype=np.intp,
+    rows = np.fromiter(
+        (row_of.get(m.article_id, -1) for m in mentions), dtype=np.intp, count=len(mentions)
     )
+    known = rows >= 0
     n_docs = factors.H.shape[0]
-    per_doc = np.bincount(cells, minlength=n_docs * 6).reshape(n_docs, 6)
-    out: list[SbStatistic | None] = []
-    for counts in (member.T.astype(np.int64) @ per_doc).tolist():
-        if sum(counts) < min_mentions:
-            out.append(None)
-        else:
-            out.append(sentiment_bias(SentimentTally(label_a, label_b, *counts)))
-    return out
+    per_doc = np.bincount(rows[known] * 6 + codes[known], minlength=n_docs * 6).reshape(n_docs, 6)
+    return [
+        None if sum(counts) < min_mentions
+        else sentiment_bias(SentimentTally(label_a, label_b, *counts))
+        for counts in (member.T.astype(np.int64) @ per_doc).tolist()
+    ]

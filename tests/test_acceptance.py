@@ -30,7 +30,7 @@ from newslens.corpus import Article
 from newslens.fixture import generate_fixture
 from newslens.pipeline import run_pipeline
 from newslens.report import emit_outputs
-from newslens.sentiment import MentionRecord, sentiment_bias, tally_mentions
+from newslens.sentiment import MentionRecord, SentimentTally, sentiment_bias, tally_mentions
 from newslens.series import DatedSeries
 from newslens.topics import NmfFactors, nmf_factorize, topic_weight_series
 from newslens.tsstats import adf_test, granger_beta, spearman
@@ -302,11 +302,11 @@ def test_criterion_08_bootstrap_interval_coverage():
     for k, ss in enumerate(trial_seeds):
         rng = np.random.default_rng(ss)
         draws = rng.choice([1, -1, 0], size=500, p=[0.45, 0.35, 0.2])
-        mentions = [
-            ("A", "positive") if v == 1 else ("A", "negative") if v == -1 else ("A", "neutral")
-            for v in draws
-        ]
-        result = bootstrap_sb(mentions, "A", "B", n_resamples=1000, seed=k)
+        tally = SentimentTally(
+            "A", "B", pos_a=int(np.sum(draws == 1)), neg_a=int(np.sum(draws == -1)),
+            neu_a=int(np.sum(draws == 0)),
+        )
+        result = bootstrap_sb(tally, n_resamples=1000, seed=k)
         if result.ci_low <= true_sb <= result.ci_high:
             contained += 1
     rate = contained / 200.0

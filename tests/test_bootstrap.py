@@ -5,22 +5,17 @@ import numpy as np
 import pytest
 
 from newslens.bootstrap import BootstrapResult, bootstrap_sb
-from newslens.sentiment import MentionRecord
+from newslens.sentiment import MentionRecord, SentimentTally, tally_mentions
 
 
-def worked_mentions():
+def worked_tally():
     """Nine mentions: A +,+,+,- and B +,+,-,-,-."""
-    return (
-        [("A", "positive")] * 3
-        + [("A", "negative")]
-        + [("B", "positive")] * 2
-        + [("B", "negative")] * 3
-    )
+    return SentimentTally("A", "B", pos_a=3, neg_a=1, pos_b=2, neg_b=3)
 
 
 class TestBootstrapSb:
     def test_point_is_one_third_exactly(self):
-        res = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=200, seed=1)
+        res = bootstrap_sb(worked_tally(), n_resamples=200, seed=1)
         assert res.point == 1.0 / 3.0
 
     def test_worked_resample_value_is_reachable(self):
@@ -28,68 +23,71 @@ class TestBootstrapSb:
         draw = [1, 1, 1, 1, 1, 1, 1, -1, -1]
         assert np.mean(draw) == pytest.approx(5.0 / 9.0)
         # and with enough resamples some draw actually hits that value
-        res = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=4000, seed=3)
-        means = self.replay_means(worked_mentions(), 4000, 3)
+        res = bootstrap_sb(worked_tally(), n_resamples=4000, seed=3)
+        means = self.replay_means(worked_tally(), 4000, 3)
         assert any(m == pytest.approx(5.0 / 9.0) for m in means)
         assert res.ci_low <= res.point <= res.ci_high
 
     @staticmethod
-    def replay_means(mentions, n_resamples, seed):
+    def replay_means(tally, n_resamples, seed):
         """Independent replay of the resample means for oracle checks.
 
-        Counts the mentions valued +1, 0 and -1, draws all resample
+        Counts the mentions valued +1 (positive A, negative B), 0
+        (neutral) and -1 (negative A, positive B), draws all resample
         count vectors from one multinomial call, and takes each mean as
         (n+ - n-) / n.
         """
-        value = {"positive": 1, "very_positive": 1, "neutral": 0,
-                 "negative": -1, "very_negative": -1}
-        vals = [value[cls] * (1 if entity == "A" else -1) for entity, cls in mentions]
-        n = len(vals)
-        p = np.array([vals.count(1), vals.count(0), vals.count(-1)]) / n
+        t = tally
+        counts = [t.pos_a + t.neg_b, t.neu_a + t.neu_b, t.neg_a + t.pos_b]
+        n = sum(counts)
+        p = np.array(counts) / n
         draws = np.random.default_rng(seed).multinomial(n, p, size=n_resamples)
         return (draws[:, 0] - draws[:, 2]) / n
 
     def test_bit_identical_for_seed(self):
-        a = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=500, seed=9)
-        b = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=500, seed=9)
+        a = bootstrap_sb(worked_tally(), n_resamples=500, seed=9)
+        b = bootstrap_sb(worked_tally(), n_resamples=500, seed=9)
         assert a == b
 
     def test_point_independent_of_resampling(self):
-        a = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=50, seed=1)
-        b = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=800, seed=77)
+        a = bootstrap_sb(worked_tally(), n_resamples=50, seed=1)
+        b = bootstrap_sb(worked_tally(), n_resamples=800, seed=77)
         assert a.point == b.point
 
     def test_degenerate_all_positive(self):
-        mentions = [("A", "positive")] * 20
-        res = bootstrap_sb(mentions, "A", "B", n_resamples=1000, seed=5)
+        res = bootstrap_sb(SentimentTally("A", "B", pos_a=20), n_resamples=1000, seed=5)
         assert res.point == 1.0
         assert res.ci_low == res.ci_high == 1.0
         assert res.p_sign == 0.0
 
     def test_p_sign_counts_non_positive_resamples(self):
-        mentions = worked_mentions()
-        res = bootstrap_sb(mentions, "A", "B", n_resamples=2000, seed=11)
-        means = self.replay_means(mentions, 2000, 11)
+        tally = worked_tally()
+        res = bootstrap_sb(tally, n_resamples=2000, seed=11)
+        means = self.replay_means(tally, 2000, 11)
         assert res.p_sign == np.mean(means <= 0.0)
 
     def test_ci_matches_percentiles_of_replayed_means(self):
-        mentions = worked_mentions()
-        res = bootstrap_sb(mentions, "A", "B", n_resamples=1500, seed=13, level=0.9)
-        means = self.replay_means(mentions, 1500, 13)
+        tally = worked_tally()
+        res = bootstrap_sb(tally, n_resamples=1500, seed=13, level=0.9)
+        means = self.replay_means(tally, 1500, 13)
         lo, hi = np.percentile(means, [5.0, 95.0])
         assert res.ci_low == float(lo)
         assert res.ci_high == float(hi)
 
-    def test_accepts_mention_records(self):
-        records = [
-            MentionRecord("a1", date(2021, 3, 1), "A", "s", "positive"),
-            MentionRecord("a1", date(2021, 3, 1), "B", "s", "negative"),
+    def test_tally_of_mention_records_matches_hand_built_tally(self):
+        pairs = [
+            ("A", "positive"), ("A", "very_positive"), ("A", "very_negative"),
+            ("A", "neutral"), ("B", "negative"), ("B", "very_negative"),
+            ("B", "very_positive"), ("B", "neutral"), ("B", "neutral"), ("A", "positive"),
         ]
-        res = bootstrap_sb(records, "A", "B", n_resamples=100, seed=0)
-        assert res.point == 1.0
+        records = [MentionRecord("a1", date(2021, 3, 1), e, "s", cls) for e, cls in pairs]
+        hand = SentimentTally("A", "B", pos_a=3, neg_a=1, neu_a=1, pos_b=1, neg_b=2, neu_b=2)
+        res = bootstrap_sb(tally_mentions(records, "A", "B"), n_resamples=300, seed=4)
+        assert res == bootstrap_sb(hand, n_resamples=300, seed=4)
+        assert res.point == (3 - 1 - 1 + 2) / 10
 
     def test_metadata_recorded(self):
-        res = bootstrap_sb(worked_mentions(), "A", "B", n_resamples=150, seed=21, level=0.9)
+        res = bootstrap_sb(worked_tally(), n_resamples=150, seed=21, level=0.9)
         assert res.n_mentions == 9
         assert res.n_resamples == 150
         assert res.level == 0.9
@@ -98,23 +96,23 @@ class TestBootstrapSb:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="no mentions"):
-            bootstrap_sb([], "A", "B")
+            bootstrap_sb(SentimentTally("A", "B"))
         for n_resamples in (0, 1):  # one resample has no standard error
             with pytest.raises(ValueError, match="n_resamples"):
-                bootstrap_sb(worked_mentions(), "A", "B", n_resamples=n_resamples)
+                bootstrap_sb(worked_tally(), n_resamples=n_resamples)
         with pytest.raises(ValueError, match="level"):
-            bootstrap_sb(worked_mentions(), "A", "B", level=1.0)
+            bootstrap_sb(worked_tally(), level=1.0)
 
 
 class TestBootstrapStderr:
     def test_degenerate_is_zero(self):
-        res = bootstrap_sb([("A", "positive")] * 15, "A", "B", n_resamples=400, seed=3)
+        res = bootstrap_sb(SentimentTally("A", "B", pos_a=15), n_resamples=400, seed=3)
         assert res.stderr == 0.0
 
     def test_matches_replayed_std(self):
-        mentions = worked_mentions()
-        res = bootstrap_sb(mentions, "A", "B", n_resamples=800, seed=17)
-        means = TestBootstrapSb.replay_means(mentions, 800, 17)
+        tally = worked_tally()
+        res = bootstrap_sb(tally, n_resamples=800, seed=17)
+        means = TestBootstrapSb.replay_means(tally, 800, 17)
         assert res.stderr == float(np.std(means, ddof=1))
 
     def test_close_to_analytic_value(self):
@@ -122,11 +120,11 @@ class TestBootstrapStderr:
         # stderr of the mean is sqrt((E[v^2] - E[v]^2) / n)
         rng = np.random.default_rng(19)
         vals = rng.choice([1, -1, 0], size=1000, p=[0.45, 0.35, 0.2])
-        mentions = [
-            ("A", "positive") if v == 1 else ("A", "negative") if v == -1 else ("A", "neutral")
-            for v in vals
-        ]
-        res = bootstrap_sb(mentions, "A", "B", n_resamples=3000, seed=23)
+        tally = SentimentTally(
+            "A", "B", pos_a=int(np.sum(vals == 1)), neg_a=int(np.sum(vals == -1)),
+            neu_a=int(np.sum(vals == 0)),
+        )
+        res = bootstrap_sb(tally, n_resamples=3000, seed=23)
         var = vals.var()  # plug-in population variance of the sample
         analytic = math.sqrt(var / 1000)
         assert res.stderr == pytest.approx(analytic, rel=0.10)
@@ -146,10 +144,8 @@ def spawned_means(vals, n_resamples, seed):
     return means
 
 
-def mentions_from_counts(n_pos, n_neu, n_neg):
-    return (
-        [("A", "positive")] * n_pos + [("B", "neutral")] * n_neu + [("B", "positive")] * n_neg
-    )
+def tally_from_counts(n_pos, n_neu, n_neg):
+    return SentimentTally("A", "B", pos_a=n_pos, neu_b=n_neu, pos_b=n_neg)
 
 
 class TestAgainstIndexResampling:
@@ -166,7 +162,7 @@ class TestAgainstIndexResampling:
         n = sum(counts)
         vals = np.repeat([1.0, 0.0, -1.0], counts)
         old = spawned_means(vals, 2000, seed=31)
-        res = bootstrap_sb(mentions_from_counts(*counts), "A", "B", n_resamples=2000, seed=31)
+        res = bootstrap_sb(tally_from_counts(*counts), n_resamples=2000, seed=31)
         # both estimate sqrt(var / n); each side's stderr has a relative
         # Monte Carlo error near 1 / sqrt(2 B) = 1.6%, and each 2.5%
         # percentile an error near 0.06 stderr

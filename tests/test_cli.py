@@ -44,6 +44,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error:" in err and "ingest" in err
 
+    def test_outlets_sharing_a_file_tag_exit_2(self, run_dir, capsys):
+        config = run_dir / "config.yaml"
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace("  outlet_one: articles.jsonl\n",
+                         "  Fox News: articles.jsonl\n  fox_news: articles.jsonl\n"),
+            encoding="utf-8",
+        )
+        rc = invoke("validate", "--config", str(config))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'Fox News' and 'fox_news'" in err
+
     def test_max_lag_beyond_poll_span_exits_2(self, run_dir, capsys):
         rc = invoke("validate", "--config", str(run_dir / "config.yaml"), "--max-lag", "40")
         assert rc == 2

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from newslens.config import PipelineConfig, load_config
+from newslens.config import PipelineConfig, load_config, outlet_slug
 from newslens.corpus import EntitySpec
 
 from conftest import article_row, write_articles
@@ -210,6 +210,7 @@ class TestPipelineConfigValidation:
             ("keywords_per_topic", -1),
             ("membership_threshold", 0.0),
             ("membership_threshold", 1.5),
+            ("min_topic_mentions", 0),
             # config-file sections and entity aliases of the wrong type
             ("topics", 5),
             ("analysis", 5),
@@ -246,6 +247,7 @@ class TestPipelineConfigValidation:
             ("bootstrap", "samples", 1, "must be >= 2, got 1"),
             ("bootstrap", "level", 1.5, "must be in (0, 1), got 1.5"),
             ("sentiment", "membership_threshold", 0.0, "must be in (0, 1], got 0.0"),
+            ("sentiment", "min_topic_mentions", 0, "must be >= 1, got 0"),
         ],
     )
     def test_range_error_names_file_and_key(self, tmp_path, section, key, value, problem):
@@ -272,6 +274,18 @@ class TestPipelineConfigValidation:
     def test_partial_lexicon_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="all four"):
             PipelineConfig(**self.kwargs(tmp_path, lexicon=tmp_path / "lex.tsv"))
+
+    def test_outlets_sharing_a_file_tag_rejected(self, tmp_path):
+        articles = {"Fox News": tmp_path / "a.jsonl", "fox_news": tmp_path / "b.jsonl"}
+        with pytest.raises(ValueError, match="'Fox News' and 'fox_news'.*'fox_news'"):
+            PipelineConfig(**self.kwargs(tmp_path, articles=articles))
+        articles = {"Fox News": tmp_path / "a.jsonl", "Fox News 2": tmp_path / "b.jsonl"}
+        PipelineConfig(**self.kwargs(tmp_path, articles=articles))
+
+    def test_outlet_slug(self):
+        assert outlet_slug("Outlet One!") == "outlet_one"
+        assert outlet_slug("  Fox--News ") == "fox_news"
+        assert outlet_slug("!!!") == "outlet"
 
     def test_empty_articles_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="outlet"):

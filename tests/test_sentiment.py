@@ -6,23 +6,26 @@ from datetime import date
 import numpy as np
 import pytest
 
+from newslens import sentiment
 from newslens.config import load_config
 from newslens.pipeline import run_pipeline
 from newslens.corpus import EntitySpec, load_articles, split_sentences
-from newslens.series import DatedSeries, sliding_mean
+from newslens.series import DatedSeries, pooled_window_mean, sliding_mean
 from newslens.sentiment import (
+    FIELD_SIGNS,
+    SENTIMENT_CLASSES,
     Lexicon,
     MentionRecord,
+    SentimentTally,
     default_lexicon,
-    extract_mentions,
     load_labels,
     load_lexicon,
     mention_records,
-    mention_value,
     per_topic_sb,
     sb_series,
     score_sentence,
     sentiment_bias,
+    tally_codes,
     tally_mentions,
 )
 from newslens.topics import NmfFactors
@@ -43,6 +46,10 @@ def mention(entity: str, sentiment: str, day=date(2021, 3, 1), art="a1"):
     return MentionRecord(
         article_id=art, date=day, entity=entity, sentence="x", sentiment=sentiment
     )
+
+
+def coded(records):
+    return tally_codes(records, "A", "B")
 
 
 def worked_tally():
@@ -205,43 +212,46 @@ class TestExtractMentions:
             EntitySpec(label="Briggs", aliases=("Briggs",)),
         )
 
+    def mentions(self, art, labels=None):
+        """(entity, clause) of each mention ``mention_records`` reads."""
+        _, records = mention_records([art], self.entities(), tiny_lexicon(), labels)
+        return [(r.entity, r.sentence) for r in records]
+
     def test_single_entity_takes_sentence(self):
         art = make_article(title="", body="Arden gave a speech today.")
-        got = extract_mentions(art, self.entities())
-        assert got == [(0, self.entities()[0], "Arden gave a speech today.")]
+        assert self.mentions(art) == [("Arden", "Arden gave a speech today.")]
 
     def test_title_offsets_sentence_index(self):
+        # the body's first sentence is sentence 1 after the title
         art = make_article(title="Morning brief", body="Arden spoke.")
-        (idx, entity, clause), = extract_mentions(art, self.entities())
-        assert idx == 1
+        labels = {(art.id, 0): "very_negative", (art.id, 1): "very_positive"}
+        _, records = mention_records([art], self.entities(), tiny_lexicon(), labels)
+        assert [(r.sentence, r.sentiment) for r in records] == [("Arden spoke.", "very_positive")]
 
     def test_two_entities_split_into_clauses(self):
         art = make_article(
             title="", body="Arden celebrated the win, but Briggs disputed it."
         )
-        got = extract_mentions(art, self.entities())
-        assert [(e.label, c) for _, e, c in got] == [
+        assert self.mentions(art) == [
             ("Arden", "Arden celebrated the win"),
             ("Briggs", "Briggs disputed it."),
         ]
 
     def test_clause_with_both_names_counts_for_each(self):
         art = make_article(title="", body="Arden met Briggs. Nothing else happened.")
-        got = extract_mentions(art, self.entities())
-        assert sorted(e.label for _, e, _ in got) == ["Arden", "Briggs"]
-        assert all(c == "Arden met Briggs." for _, _, c in got)
+        got = self.mentions(art)
+        assert sorted(e for e, _ in got) == ["Arden", "Briggs"]
+        assert all(c == "Arden met Briggs." for _, c in got)
 
     def test_entity_in_multiple_clauses(self):
         art = make_article(
             title="", body="Arden won, Arden smiled, and Briggs left early."
         )
-        got = extract_mentions(art, self.entities())
-        labels = [e.label for _, e, _ in got]
-        assert labels == ["Arden", "Arden", "Briggs"]
+        assert [e for e, _ in self.mentions(art)] == ["Arden", "Arden", "Briggs"]
 
     def test_no_entities_no_mentions(self):
         art = make_article(title="", body="The weather was mild.")
-        assert extract_mentions(art, self.entities()) == []
+        assert self.mentions(art) == []
 
 
 class TestLoadLabels:
@@ -482,24 +492,74 @@ class TestSentimentBias:
         with pytest.raises(ValueError, match="neither"):
             tally_mentions([mention("C", "neutral")], "A", "B")
 
-    def test_mention_value_signs(self):
-        assert mention_value("A", "positive", "A", "B") == 1
-        assert mention_value("A", "very_negative", "A", "B") == -1
-        assert mention_value("B", "positive", "A", "B") == -1
-        assert mention_value("B", "negative", "A", "B") == 1
-        assert mention_value("A", "neutral", "A", "B") == 0
+    def test_tally_code_signs(self):
+        records = [
+            mention("A", "positive"), mention("A", "very_negative"), mention("A", "neutral"),
+            mention("B", "very_positive"), mention("B", "negative"), mention("B", "neutral"),
+        ]
+        codes = tally_codes(records, "A", "B")
+        assert codes.tolist() == [0, 1, 2, 3, 4, 5]
+        assert [FIELD_SIGNS[c] for c in codes] == [1, -1, 0, -1, 1, 0]
+        assert SentimentTally("A", "B", 1, 2, 3, 4, 5, 6).value_counts == (1 + 5, 3 + 6, 2 + 4)
 
-    def test_sum_of_mention_values_matches_bias_numerator(self):
+    def test_sum_of_field_signs_matches_bias_numerator(self):
         rng = random.Random(7)
-        classes = ("very_negative", "negative", "neutral", "positive", "very_positive")
         for trial in range(20):
             records = [
-                mention(rng.choice("AB"), rng.choice(classes))
+                mention(rng.choice("AB"), rng.choice(SENTIMENT_CLASSES))
                 for _ in range(rng.randint(1, 30))
             ]
             sb = sentiment_bias(tally_mentions(records, "A", "B"))
-            total = sum(mention_value(m.entity, m.sentiment, "A", "B") for m in records)
+            total = sum(FIELD_SIGNS[c] for c in tally_codes(records, "A", "B"))
             assert sb.value == total / len(records)
+
+
+class TestTallyCodes:
+    def test_tally_counts_codes(self):
+        records = [mention(e, c) for e in "AB" for c in SENTIMENT_CLASSES]
+        codes = tally_codes(records, "A", "B")
+        assert codes.tolist() == [1, 1, 2, 0, 0, 4, 4, 5, 3, 3]
+        assert tally_mentions(records, "A", "B") == SentimentTally("A", "B", 2, 2, 1, 2, 2, 1)
+        assert SentimentTally.from_codes("A", "B", codes).counts == (2, 2, 1, 2, 2, 1)
+
+    def test_empty(self):
+        assert tally_codes([], "A", "B").tolist() == []
+        assert tally_mentions([], "A", "B").total == 0
+
+    def test_invalid_mention_rejected(self):
+        with pytest.raises(ValueError, match="'C' is neither 'A' nor 'B'"):
+            tally_codes([mention("A", "neutral"), mention("C", "positive")], "A", "B")
+        with pytest.raises(ValueError, match="unknown sentiment class 'glad'"):
+            tally_codes([mention("B", "glad")], "A", "B")
+
+    def test_each_mention_classified_once_per_outlet(self, tmp_path, monkeypatch):
+        reads = []
+
+        class CountedRecord(MentionRecord):
+            def __getattribute__(self, name):
+                if name == "sentiment":
+                    reads.append(id(self))
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(sentiment, "MentionRecord", CountedRecord)
+        cfg = load_config(build_run_dir(tmp_path))
+        (res,) = run_pipeline(cfg, through="sentiment").state.outlets.values()
+        assert res.sb_by_topic and res.sb_bootstrap is not None
+        assert len(res.mentions) > 0
+        assert sorted(reads) == sorted(id(m) for m in res.mentions)
+
+
+def reference_sb_series(mentions, label_a, label_b, window_days):
+    """sb_series as a loop over mentions, each valued from its entity and class."""
+    polarity = {"very_negative": -1, "negative": -1, "neutral": 0,
+                "positive": 1, "very_positive": 1}
+
+    def value(m):
+        sign = {label_a: 1, label_b: -1}[m.entity]
+        return sign * polarity[m.sentiment]
+
+    pairs = ((m.date, value(m)) for m in mentions)
+    return pooled_window_mean(pairs, window_days, "sentiment_bias")
 
 
 class TestSbSeries:
@@ -510,7 +570,7 @@ class TestSbSeries:
             + [mention("B", "positive")] * 2
             + [mention("B", "negative")] * 3
         )
-        s = sb_series(records, "A", "B", window_days=1)
+        s = sb_series(records, tally_codes(records, "A", "B"), window_days=1)
         assert len(s) == 1
         assert s.values[0] == 1.0 / 3.0
 
@@ -520,7 +580,7 @@ class TestSbSeries:
             mention("A", "positive", day=date(2021, 3, 1)),
             mention("A", "negative", day=date(2021, 3, 2)),
         ]
-        s = sb_series(records, "A", "B", window_days=2)
+        s = sb_series(records, tally_codes(records, "A", "B"), window_days=2)
         # day 2 pools all three mentions: (2 - 1) / 3, not a mean of daily values
         assert s.values[1] == pytest.approx(1.0 / 3.0)
 
@@ -529,12 +589,45 @@ class TestSbSeries:
             mention("A", "positive", day=date(2021, 3, 1)),
             mention("A", "negative", day=date(2021, 3, 4)),
         ]
-        s = sb_series(records, "A", "B", window_days=1)
+        s = sb_series(records, tally_codes(records, "A", "B"), window_days=1)
         assert list(s.values) == [1.0, 1.0, 1.0, -1.0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no mentions"):
-            sb_series([], "A", "B")
+            sb_series([], tally_codes([], "A", "B"))
+
+    def test_rejects_codes_of_other_length(self):
+        records = [mention("A", "positive"), mention("B", "positive")]
+        with pytest.raises(ValueError):
+            sb_series(records, tally_codes(records[:1], "A", "B"))
+
+    @staticmethod
+    def assert_matches_reference(records, label_a, label_b, window_days):
+        got = sb_series(records, tally_codes(records, label_a, label_b), window_days)
+        want = reference_sb_series(records, label_a, label_b, window_days)
+        assert (got.start, got.label) == (want.start, want.label)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_build_run_dir_corpus_matches_reference(self, tmp_path):
+        cfg = load_config(build_run_dir(tmp_path))
+        (res,) = run_pipeline(cfg, through="sentiment").state.outlets.values()
+        a, b = cfg.entities[0].label, cfg.entities[1].label
+        for window_days in (1, cfg.window_days, 30):
+            self.assert_matches_reference(res.mentions, a, b, window_days)
+        assert res.sb_daily.values.tobytes() == reference_sb_series(
+            res.mentions, a, b, cfg.window_days
+        ).values.tobytes()
+
+    def test_shuffled_mixed_mentions_match_reference(self):
+        rng = random.Random(3)
+        records = [
+            mention(rng.choice("AB"), rng.choice(SENTIMENT_CLASSES),
+                    day=date(2021, 3, 1 + rng.randrange(28)))
+            for _ in range(700)
+        ]
+        for window_days in (1, 3, 7):
+            self.assert_matches_reference(records, "A", "B", window_days)
+            self.assert_matches_reference(records, "B", "A", window_days)
 
 
 class TestPerTopicSb:
@@ -556,7 +649,7 @@ class TestPerTopicSb:
             mention("A", "positive", art="a1"),
             mention("B", "negative", art="a2"),
         ]
-        out = per_topic_sb(records, factors, "A", "B", min_mentions=1)
+        out = per_topic_sb(records, coded(records), factors, "A", "B", min_mentions=1)
         assert out[0].value == 1.0  # both mentions: (1 + 1) / 2
         assert out[1].value == 1.0  # only a2's mention: 1 / 1
         assert out[0].tally.total == 2
@@ -565,7 +658,7 @@ class TestPerTopicSb:
     def test_sparse_topic_reported_none(self):
         factors = self.factors([[1.0, 0.0]], ["a1"])
         records = [mention("A", "positive", art="a1")]
-        out = per_topic_sb(records, factors, "A", "B", min_mentions=2)
+        out = per_topic_sb(records, coded(records), factors, "A", "B", min_mentions=2)
         assert out == [None, None]
 
     def test_unknown_articles_skipped(self):
@@ -574,13 +667,26 @@ class TestPerTopicSb:
             mention("A", "positive", art="a1"),
             mention("B", "negative", art="missing"),
         ]
-        out = per_topic_sb(records, factors, "A", "B", min_mentions=1)
+        out = per_topic_sb(records, coded(records), factors, "A", "B", min_mentions=1)
         assert out[0].tally.total == 1
 
     def test_threshold_validation(self):
         factors = self.factors([[1.0]], ["a1"])
         with pytest.raises(ValueError, match="membership_threshold"):
-            per_topic_sb([], factors, "A", "B", membership_threshold=0.0)
+            per_topic_sb([], coded([]), factors, "A", "B", membership_threshold=0.0)
+
+    def test_min_mentions_validation(self):
+        factors = self.factors([[1.0]], ["a1"])
+        records = [mention("A", "positive", art="a1")]
+        for min_mentions in (0, -3):
+            with pytest.raises(ValueError, match="min_mentions must be >= 1"):
+                per_topic_sb(records, coded(records), factors, "A", "B", min_mentions=min_mentions)
+
+    def test_rejects_codes_of_other_length(self):
+        factors = self.factors([[1.0]], ["a1"])
+        records = [mention("A", "positive", art="a1")] * 2
+        with pytest.raises(ValueError, match="1 codes for 2 mentions"):
+            per_topic_sb(records, coded(records[:1]), factors, "A", "B", min_mentions=1)
 
 
 def reference_per_topic_sb(mentions, factors, label_a, label_b, threshold, min_mentions):
@@ -607,7 +713,8 @@ def reference_per_topic_sb(mentions, factors, label_a, label_b, threshold, min_m
 
 class TestPerTopicSbAgainstLoop:
     def check(self, mentions, factors, label_a, label_b, threshold, min_mentions):
-        got = per_topic_sb(mentions, factors, label_a, label_b, threshold, min_mentions)
+        codes = tally_codes(mentions, label_a, label_b)
+        got = per_topic_sb(mentions, codes, factors, label_a, label_b, threshold, min_mentions)
         want = reference_per_topic_sb(mentions, factors, label_a, label_b, threshold, min_mentions)
         assert got == want
         for stat in got:
@@ -638,10 +745,3 @@ class TestPerTopicSbAgainstLoop:
         out = self.check(records, factors, "A", "B", 0.25, 1)
         assert [s.tally.total for s in out] == [4, 4, 4]
         assert self.check(records, factors, "A", "B", 0.5, 1)[1] is None
-
-    def test_invalid_mention_rejected(self):
-        factors = TestPerTopicSb().factors([[1.0]], ["a1"])
-        with pytest.raises(ValueError, match="neither"):
-            per_topic_sb([mention("C", "positive")], factors, "A", "B", min_mentions=1)
-        with pytest.raises(ValueError, match="unknown sentiment class"):
-            per_topic_sb([mention("A", "glad")], factors, "A", "B", min_mentions=1)

@@ -213,6 +213,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         )
     except _RangeError as exc:
         raise ValueError(f"{path}: {_file_key(exc.field)} {exc.problem}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {str(exc).removeprefix('config: ')}") from None
     if overrides:
         cleaned = {k: v for k, v in overrides.items() if v is not None}
         if cleaned:

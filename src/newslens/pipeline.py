@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .topics import (
     topic_weight_series,
 )
 from .tsstats import GrangerResult, LagCorrelation, granger_scan, lagged_correlation_scan
-from .vectorize import build_vocabulary, load_stopwords, tfidf_matrix
+from .vectorize import load_stopwords, tfidf_matrix
 
 __all__ = ["STAGES", "PipelineError", "OutletResult", "ReportBundle", "RunState", "run_pipeline"]
 
@@ -289,8 +289,7 @@ def stage_ingest(state: RunState) -> None:
 def stage_topics(state: RunState) -> None:
     cfg = state.config
     for outlet, arts in sorted(state.articles.items()):
-        vocab = build_vocabulary(arts, state.stopwords, cfg.min_df)
-        matrix = tfidf_matrix(arts, vocab)
+        matrix = tfidf_matrix(arts, state.stopwords, cfg.min_df)
         factors = nmf_factorize(matrix, cfg.n_topics, seed=cfg.seed)
         coverage = topic_weight_series(
             factors,
@@ -370,18 +369,7 @@ def stage_causality(state: RunState) -> None:
             continue
         results = granger_scan(state.spread, list(res.coverage.topics), cfg.max_lag)
         # topic field from the scan indexes the kept list; map it back to ids
-        res.granger = [
-            GrangerResult(
-                topic=res.coverage.topic_ids[g.topic],
-                lag=g.lag,
-                beta=g.beta,
-                stderr=g.stderr,
-                t_stat=g.t_stat,
-                p_value=g.p_value,
-                n_obs=g.n_obs,
-            )
-            for g in results
-        ]
+        res.granger = [replace(g, topic=res.coverage.topic_ids[g.topic]) for g in results]
 
 
 def run_pipeline(config: PipelineConfig, through: str = "causality") -> ReportBundle:

@@ -46,18 +46,6 @@ class DatedSeries:
         """Date of the last sample (inclusive)."""
         return self.start + (len(self) - 1) * _DAY
 
-    def dates(self) -> list[date]:
-        return [self.start + i * _DAY for i in range(len(self))]
-
-    def index_of(self, day: date) -> int:
-        off = (day - self.start).days
-        if not 0 <= off < len(self):
-            raise KeyError(f"{day.isoformat()} outside series span")
-        return off
-
-    def value_on(self, day: date) -> float:
-        return float(self.values[self.index_of(day)])
-
     def with_values(self, values: np.ndarray, label: str | None = None) -> "DatedSeries":
         """Same span, new values (used by transforms that preserve dates)."""
         return DatedSeries(self.start, values, self.label if label is None else label)
@@ -100,12 +88,9 @@ def pooled_window_mean(
     first = min(day for day, _ in pairs)
     last = max(day for day, _ in pairs)
     n = (last - first).days + 1
-    sums = np.zeros(n)
-    counts = np.zeros(n)
-    for day, value in pairs:
-        i = (day - first).days
-        sums[i] += value
-        counts[i] += 1
+    days = np.array([(day - first).days for day, _ in pairs])
+    sums = np.bincount(days, weights=[value for _, value in pairs], minlength=n)
+    counts = np.bincount(days, minlength=n).astype(float)
     # Per-window slice sums, not cumsum differences: the latter round
     # differently and would change published values in the last bits.
     values = np.empty(n)

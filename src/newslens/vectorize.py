@@ -1,4 +1,4 @@
-"""Vocabulary construction and tf-idf document vectors over ``Article.tokens``."""
+"""The tf-idf document-term matrix of ``Article.tokens`` and its vocabulary."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .corpus import Article
 __all__ = [
     "load_stopwords",
     "Vocabulary",
-    "build_vocabulary",
     "DocTermMatrix",
     "tfidf_matrix",
 ]
@@ -52,29 +51,6 @@ class Vocabulary:
         return term in self.index
 
 
-def build_vocabulary(
-    articles: list[Article],
-    stopwords: frozenset[str] = frozenset(),
-    min_df: int = 2,
-) -> Vocabulary:
-    """Terms appearing in >= min_df documents, minus stopwords, sorted.
-
-    Document frequency counts each article once per unique term of
-    ``Article.tokens``.
-    """
-    if min_df < 1:
-        raise ValueError(f"min_df must be >= 1, got {min_df}")
-    if not articles:
-        raise ValueError("no articles")
-    df: Counter[str] = Counter()
-    for art in articles:
-        df.update(set(art.tokens))
-    terms = sorted(t for t, c in df.items() if c >= min_df and t not in stopwords)
-    if not terms:
-        raise ValueError("vocabulary is empty after min_df and stopword filtering")
-    return Vocabulary(tuple(terms))
-
-
 @dataclass(frozen=True)
 class DocTermMatrix:
     """Sparse document-term matrix with row ids and the column vocabulary.
@@ -98,33 +74,49 @@ class DocTermMatrix:
         return self.matrix.shape
 
 
-def tfidf_matrix(articles: list[Article], vocab: Vocabulary) -> DocTermMatrix:
-    """L2-normalized tf-idf rows over ``vocab``, ordered by article id.
+def tfidf_matrix(
+    articles: list[Article],
+    stopwords: frozenset[str] = frozenset(),
+    min_df: int = 2,
+) -> DocTermMatrix:
+    """L2-normalized tf-idf rows over the corpus vocabulary, ordered by article id.
 
-    tf is the raw in-document count; idf(t) = ln((1 + D) / (1 + df_t)) + 1
-    with D the number of input articles.  Articles containing no
-    vocabulary term are dropped with a warning.
+    The vocabulary is every term of ``Article.tokens`` in >= min_df
+    articles, minus stopwords, sorted; document frequency counts each
+    article once per unique term.  tf is the raw in-document count;
+    idf(t) = ln((1 + D) / (1 + df_t)) + 1 with D the number of input
+    articles.  Articles containing no vocabulary term are dropped with a
+    warning.
     """
+    if min_df < 1:
+        raise ValueError(f"min_df must be >= 1, got {min_df}")
     if not articles:
         raise ValueError("no articles")
     ordered = sorted(articles, key=lambda a: a.id)
 
-    df = np.zeros(len(vocab))
+    df: Counter[str] = Counter()
     for art in ordered:
-        df[[vocab.index[t] for t in set(art.tokens) if t in vocab.index]] += 1
-    n_docs = len(ordered)
-    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+        df.update(set(art.tokens))
+    terms = sorted(t for t, c in df.items() if c >= min_df and t not in stopwords)
+    if not terms:
+        raise ValueError("vocabulary is empty after min_df and stopword filtering")
+    vocab = Vocabulary(tuple(terms))
+    df_terms = np.array([df[t] for t in terms], dtype=float)
+    idf = (np.log((1.0 + len(ordered)) / (1.0 + df_terms)) + 1.0).tolist()
 
     # Typed arrays: lists of Python numbers would take about four times the
     # memory, which stays with the process through the NMF that follows.
     rows, cols, data = array("q"), array("q"), array("d")
     doc_ids: list[str] = []
+    index = vocab.index
     for art in ordered:
-        counts = Counter(vocab.index[t] for t in art.tokens if t in vocab.index)
-        if not counts:
+        # Counter keeps first-occurrence order, which fixes the norm's sum.
+        weights = {
+            j: c * idf[j] for t, c in Counter(art.tokens).items() if (j := index.get(t)) is not None
+        }
+        if not weights:
             log.warning("article %s has no vocabulary terms; row dropped", art.id)
             continue
-        weights = {j: c * idf[j] for j, c in counts.items()}
         norm = math.sqrt(sum(w * w for w in weights.values()))
         i = len(doc_ids)
         for j in sorted(weights):
@@ -132,8 +124,8 @@ def tfidf_matrix(articles: list[Article], vocab: Vocabulary) -> DocTermMatrix:
             cols.append(j)
             data.append(weights[j] / norm)
         doc_ids.append(art.id)
-    if not doc_ids:
-        raise ValueError("every article dropped: no vocabulary terms anywhere")
+    # No check for zero rows: each vocabulary term occurs in >= min_df >= 1
+    # of the articles, so at least one row is kept.
     matrix = sp.csr_matrix(
         (data, (rows, cols)), shape=(len(doc_ids), len(vocab)), dtype=float
     )

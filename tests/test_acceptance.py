@@ -34,7 +34,7 @@ from newslens.sentiment import MentionRecord, SentimentTally, sentiment_bias, ta
 from newslens.series import DatedSeries
 from newslens.topics import NmfFactors, nmf_factorize, topic_weight_series
 from newslens.tsstats import adf_test, granger_beta, spearman
-from newslens.vectorize import build_vocabulary, tfidf_matrix
+from newslens.vectorize import tfidf_matrix
 
 START = date(2016, 1, 1)
 
@@ -163,8 +163,8 @@ def test_criterion_03_topic_recovery_on_synthetic_corpus():
     good_seeds = 0
     for seed in range(10):
         docs, terms = _synthetic_topic_corpus(seed)
-        vocab = build_vocabulary(docs, stopwords=frozenset(), min_df=2)
-        mat = tfidf_matrix(docs, vocab)
+        mat = tfidf_matrix(docs, stopwords=frozenset(), min_df=2)
+        vocab = mat.vocab
         factors = nmf_factorize(mat, n_topics=4, seed=seed)
 
         truth = np.zeros((4, factors.W.shape[1]))

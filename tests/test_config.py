@@ -282,6 +282,30 @@ class TestPipelineConfigValidation:
         articles = {"Fox News": tmp_path / "a.jsonl", "Fox News 2": tmp_path / "b.jsonl"}
         PipelineConfig(**self.kwargs(tmp_path, articles=articles))
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            ("articles", "outlets 'Fox News' and 'fox_news' share the file tag 'fox_news'"),
+            ("labels", "entity labels must differ"),
+            ("aliases", "entities share aliases ['arden']"),
+            ("lexicon", "a custom lexicon needs all four files"),
+        ],
+    )
+    def test_config_error_names_file(self, tmp_path, edit, problem):
+        mapping = base_mapping(tmp_path)
+        if edit == "articles":
+            mapping["articles"] = {"Fox News": "articles.jsonl", "fox_news": "articles.jsonl"}
+        elif edit == "labels":
+            mapping["entities"][1]["label"] = "Arden"
+        elif edit == "aliases":
+            mapping["entities"][1]["aliases"] = ["Briggs", "ARDEN"]
+        else:
+            mapping["sentiment"] = {"lexicon": "lex.tsv"}
+        p = write_yaml(tmp_path, mapping)
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p)
+        assert str(exc_info.value).startswith(f"{p}: {problem}")
+
     def test_outlet_slug(self):
         assert outlet_slug("Outlet One!") == "outlet_one"
         assert outlet_slug("  Fox--News ") == "fox_news"

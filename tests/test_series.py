@@ -13,8 +13,6 @@ class TestDatedSeries:
         s = DatedSeries(START, [1.0, 2.0, 3.0], label="x")
         assert len(s) == 3
         assert s.end == date(2021, 3, 3)
-        assert s.dates() == [date(2021, 3, 1), date(2021, 3, 2), date(2021, 3, 3)]
-        assert s.value_on(date(2021, 3, 2)) == 2.0
 
     def test_values_read_only(self):
         s = DatedSeries(START, [1.0, 2.0])
@@ -34,11 +32,6 @@ class TestDatedSeries:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             DatedSeries(START, [[1.0], [2.0]])
-
-    def test_index_outside_span(self):
-        s = DatedSeries(START, [1.0])
-        with pytest.raises(KeyError):
-            s.index_of(date(2021, 3, 2))
 
 
 class TestSlidingMean:

@@ -16,7 +16,7 @@ from newslens.topics import (
     top_keywords,
     topic_weight_series,
 )
-from newslens.vectorize import Vocabulary, build_vocabulary, tfidf_matrix
+from newslens.vectorize import Vocabulary, tfidf_matrix
 
 from conftest import build_run_dir, make_article
 from test_acceptance import _synthetic_topic_corpus
@@ -88,15 +88,14 @@ class TestNmfFactorize:
             make_article(id=f"a{i}", title="", body="apple pear kiwi mango " * (i + 1))
             for i in range(4)
         ]
-        vocab = build_vocabulary(arts, min_df=1)
-        dtm = tfidf_matrix(arts, vocab)
+        dtm = tfidf_matrix(arts, min_df=1)
         f1 = nmf_factorize(dtm, n_topics=2, seed=5)
         f2 = nmf_factorize(dtm.matrix, n_topics=2, seed=5)
         f3 = nmf_factorize(dtm.matrix.toarray(), n_topics=2, seed=5)
         assert np.array_equal(f1.H, f2.H)
         assert np.array_equal(f2.H, f3.H)
         assert f1.doc_ids == dtm.doc_ids
-        assert f1.vocab is vocab
+        assert f1.vocab is dtm.vocab
         assert f2.vocab is None
 
     def test_rank_bounds_enforced(self):
@@ -190,8 +189,9 @@ def recovers_planted_topics(seed):
     """Criterion 03's check for one seed: every planted topic of the
     synthetic corpus matches a distinct fitted topic at cosine > 0.8."""
     docs, terms = _synthetic_topic_corpus(seed)
-    vocab = build_vocabulary(docs, stopwords=frozenset(), min_df=2)
-    factors = nmf_factorize(tfidf_matrix(docs, vocab), n_topics=4, seed=seed)
+    dtm = tfidf_matrix(docs, stopwords=frozenset(), min_df=2)
+    vocab = dtm.vocab
+    factors = nmf_factorize(dtm, n_topics=4, seed=seed)
     truth = np.zeros((4, len(vocab.terms)))
     for t, planted in enumerate(terms):
         for term in planted:
@@ -300,7 +300,7 @@ class TestNmfErrorsMatchOracle:
         cfg = load_config(build_run_dir(tmp_path))
         state = run_pipeline(cfg, through="ingest").state
         arts = state.articles["outlet_one"]
-        dtm = tfidf_matrix(arts, build_vocabulary(arts, state.stopwords, cfg.min_df))
+        dtm = tfidf_matrix(arts, state.stopwords, cfg.min_df)
         self.check(dtm, n_topics=4, seed=cfg.seed)
 
     def test_non_canonical_csr(self):

@@ -1,18 +1,59 @@
 import math
 import random
+from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from newslens.corpus import tokenize
-from newslens.vectorize import (
-    Vocabulary,
-    build_vocabulary,
-    load_stopwords,
-    tfidf_matrix,
-)
+from newslens.config import load_config
+from newslens.corpus import load_articles, tokenize
+from newslens.fixture import generate_fixture
+from newslens.vectorize import DocTermMatrix, Vocabulary, load_stopwords, tfidf_matrix
 
 from conftest import make_article
+
+
+def reference_tfidf(articles, stopwords=frozenset(), min_df=2):
+    """The former two-step build, vocabulary then matrix, written out as the oracle."""
+    df = Counter()
+    for art in articles:
+        df.update(set(art.tokens))
+    vocab = Vocabulary(tuple(sorted(t for t, c in df.items() if c >= min_df and t not in stopwords)))
+    if not vocab.terms:
+        raise ValueError("vocabulary is empty after min_df and stopword filtering")
+    ordered = sorted(articles, key=lambda a: a.id)
+    df = np.zeros(len(vocab))
+    for art in ordered:
+        df[[vocab.index[t] for t in set(art.tokens) if t in vocab.index]] += 1
+    idf = np.log((1.0 + len(ordered)) / (1.0 + df)) + 1.0
+    rows, cols, data = array("q"), array("q"), array("d")
+    doc_ids = []
+    for art in ordered:
+        counts = Counter(vocab.index[t] for t in art.tokens if t in vocab.index)
+        if not counts:
+            continue
+        weights = {j: c * idf[j] for j, c in counts.items()}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        i = len(doc_ids)
+        for j in sorted(weights):
+            rows.append(i)
+            cols.append(j)
+            data.append(weights[j] / norm)
+        doc_ids.append(art.id)
+    matrix = sp.csr_matrix((data, (rows, cols)), shape=(len(doc_ids), len(vocab)), dtype=float)
+    return DocTermMatrix(matrix=matrix, doc_ids=tuple(doc_ids), vocab=vocab)
+
+
+def assert_same_matrix(got, expected):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.matrix, name), getattr(expected.matrix, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.shape == expected.shape
+    assert got.doc_ids == expected.doc_ids
+    assert got.vocab.terms == expected.vocab.terms
 
 
 class TestTokenize:
@@ -55,7 +96,7 @@ class TestBuildVocabulary:
             make_article(id="a3", title="mango", body="kiwi"),
         ]
         # apple df=2, zebra df=2, mango df=2, kiwi df=1
-        vocab = build_vocabulary(arts, min_df=2)
+        vocab = tfidf_matrix(arts, min_df=2).vocab
         assert vocab.terms == ("apple", "mango", "zebra")
 
     def test_df_counts_documents_not_occurrences(self):
@@ -64,7 +105,7 @@ class TestBuildVocabulary:
             make_article(id="a2", title="", body="pear"),
             make_article(id="a3", title="", body="pear"),
         ]
-        vocab = build_vocabulary(arts, min_df=2)
+        vocab = tfidf_matrix(arts, min_df=2).vocab
         assert "apple" not in vocab
         assert "pear" in vocab
 
@@ -73,7 +114,7 @@ class TestBuildVocabulary:
             make_article(id="a1", title="", body="apple pear"),
             make_article(id="a2", title="", body="apple pear"),
         ]
-        vocab = build_vocabulary(arts, stopwords=frozenset({"pear"}), min_df=2)
+        vocab = tfidf_matrix(arts, stopwords=frozenset({"pear"}), min_df=2).vocab
         assert vocab.terms == ("apple",)
 
     def test_title_participates(self):
@@ -81,17 +122,17 @@ class TestBuildVocabulary:
             make_article(id="a1", title="orchard", body="apple"),
             make_article(id="a2", title="orchard", body="apple"),
         ]
-        vocab = build_vocabulary(arts, min_df=2)
+        vocab = tfidf_matrix(arts, min_df=2).vocab
         assert "orchard" in vocab
 
     def test_empty_vocabulary_rejected(self):
         arts = [make_article(id="a1", title="", body="unique words only here")]
         with pytest.raises(ValueError, match="empty"):
-            build_vocabulary(arts, min_df=2)
+            tfidf_matrix(arts, min_df=2).vocab
 
     def test_min_df_one_keeps_everything(self):
         arts = [make_article(id="a1", title="", body="apple pear")]
-        vocab = build_vocabulary(arts, min_df=1)
+        vocab = tfidf_matrix(arts, min_df=1).vocab
         assert vocab.terms == ("apple", "pear")
 
 
@@ -104,41 +145,38 @@ class TestTfidfMatrix:
         ]
 
     def test_rows_ordered_by_article_id(self):
-        vocab = build_vocabulary(self.corpus(), min_df=1)
-        dtm = tfidf_matrix(self.corpus(), vocab)
+        dtm = tfidf_matrix(self.corpus(), min_df=1)
         assert dtm.doc_ids == ("a1", "a2", "a3")
 
     def test_hand_computed_weights(self):
-        vocab = build_vocabulary(self.corpus(), min_df=1)
-        dtm = tfidf_matrix(self.corpus(), vocab)
+        dtm = tfidf_matrix(self.corpus(), min_df=1)
         # a2 row: tf(apple)=2, tf(pear)=1 over D=3 docs
         idf_apple = math.log(4.0 / 3.0) + 1.0  # df=2
         idf_pear = math.log(4.0 / 3.0) + 1.0  # df=2
         raw = np.zeros(3)
-        raw[vocab.index["apple"]] = 2 * idf_apple
-        raw[vocab.index["pear"]] = 1 * idf_pear
+        raw[dtm.vocab.index["apple"]] = 2 * idf_apple
+        raw[dtm.vocab.index["pear"]] = 1 * idf_pear
         expected = raw / np.linalg.norm(raw)
         got = dtm.matrix.toarray()[list(dtm.doc_ids).index("a2")]
         assert np.allclose(got, expected, rtol=0, atol=1e-15)
 
     def test_rows_unit_norm(self):
-        vocab = build_vocabulary(self.corpus(), min_df=1)
-        dtm = tfidf_matrix(self.corpus(), vocab)
+        dtm = tfidf_matrix(self.corpus(), min_df=1)
         norms = np.sqrt(np.asarray(dtm.matrix.multiply(dtm.matrix).sum(axis=1)))
         assert np.allclose(norms, 1.0)
 
     def test_out_of_vocabulary_doc_dropped_with_warning(self, caplog):
+        # every term of a0 occurs in a0 alone, below min_df
         arts = self.corpus() + [make_article(id="a0", title="", body="zzz qqq")]
-        vocab = build_vocabulary(self.corpus(), min_df=1)
         with caplog.at_level("WARNING", logger="newslens.vectorize"):
-            dtm = tfidf_matrix(arts, vocab)
+            dtm = tfidf_matrix(arts, min_df=2)
         assert dtm.doc_ids == ("a1", "a2", "a3")
+        assert dtm.vocab.terms == ("apple", "kiwi", "pear")
         assert any("a0" in rec.message for rec in caplog.records)
 
-    def test_all_docs_dropped_rejected(self):
-        vocab = Vocabulary(("nowhere",))
-        with pytest.raises(ValueError, match="dropped"):
-            tfidf_matrix(self.corpus(), vocab)
+    def test_min_df_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_df"):
+            tfidf_matrix(self.corpus(), min_df=0)
 
     def test_random_corpora_invariants(self):
         rng = random.Random(20210301)
@@ -152,8 +190,7 @@ class TestTfidfMatrix:
                 )
                 for i in range(rng.randint(4, 9))
             ]
-            vocab = build_vocabulary(arts, min_df=1)
-            dtm = tfidf_matrix(arts, vocab)
+            dtm = tfidf_matrix(arts, min_df=1)
             dense = dtm.matrix.toarray()
             assert dense.min() >= 0.0
             assert np.allclose(np.linalg.norm(dense, axis=1), 1.0)
@@ -162,6 +199,43 @@ class TestTfidfMatrix:
             for i, doc_id in enumerate(dtm.doc_ids):
                 art = next(a for a in arts if a.id == doc_id)
                 present = set(tokenize(art.body))
-                for term, j in vocab.index.items():
+                for term, j in dtm.vocab.index.items():
                     if term not in present:
                         assert dense[i, j] == 0.0
+
+
+class TestMatchesTwoStepReference:
+    def test_seed_11_fixture(self, tmp_path):
+        files = generate_fixture(tmp_path, seed=11)
+        cfg = load_config(files["config"])
+        stopwords = load_stopwords(cfg.stopwords)
+        for path in cfg.articles.values():
+            arts = load_articles(path, cfg.entities)
+            expected = reference_tfidf(arts, stopwords, cfg.min_df)
+            assert expected.matrix.nnz > 0
+            assert_same_matrix(tfidf_matrix(arts, stopwords, cfg.min_df), expected)
+
+    @pytest.mark.parametrize("min_df", [1, 2, 3])
+    def test_random_corpora(self, min_df):
+        rng = random.Random(min_df)
+        words = [f"w{a}{b}" for a in "abcdefgh" for b in "xyz"]
+        compared = 0
+        for _ in range(25):
+            arts = [
+                make_article(
+                    id=f"d{rng.randrange(1000):03d}-{i}",
+                    title=" ".join(rng.choices(words, k=rng.randint(0, 3))),
+                    body=" ".join(rng.choices(words, k=rng.randint(0, 15))),
+                )
+                for i in range(rng.randint(3, 12))
+            ]
+            stopwords = frozenset(rng.sample(words, rng.randint(0, 4)))
+            try:
+                expected = reference_tfidf(arts, stopwords, min_df)
+            except ValueError:
+                with pytest.raises(ValueError, match="empty"):
+                    tfidf_matrix(arts, stopwords, min_df)
+                continue
+            assert_same_matrix(tfidf_matrix(arts, stopwords, min_df), expected)
+            compared += 1
+        assert compared >= 20

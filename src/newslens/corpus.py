@@ -1,4 +1,4 @@
-"""Corpus and poll ingestion, and the text rules behind ``Article.tokens`` and ``.sentences``.
+"""Corpus and poll ingestion, and the text rules: ``tokenize`` and ``Article.sentences``.
 
 Articles arrive as line-delimited JSON (one object per line with keys
 id, outlet, date, title, body); polls as a CSV with columns
@@ -12,12 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import re
-import sys
 import unicodedata
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 
 from .series import DatedSeries, pooled_window_mean
 
@@ -35,8 +33,9 @@ __all__ = [
 
 _ARTICLE_KEYS = {"id", "outlet", "date", "title", "body"}
 
-# Unicode-aware alphabetic runs: letters only, no digits or underscore.
-_TOKEN_RE = re.compile(r"[^\W\d_]+")
+# Unicode-aware alphabetic runs of two or more: letters only, no digits
+# or underscore.  Each match is a whole run, so a single letter is skipped.
+_TOKEN_RE = re.compile(r"[^\W\d_]{2,}")
 
 
 def tokenize(text: str) -> list[str]:
@@ -46,7 +45,7 @@ def tokenize(text: str) -> list[str]:
     so "e-mail server 2016" yields ["mail", "server"].
     """
     normalized = unicodedata.normalize("NFC", text).lower()
-    return [t for t in _TOKEN_RE.findall(normalized) if len(t) >= 2]
+    return _TOKEN_RE.findall(normalized)
 
 
 _ABBREVIATIONS = frozenset(
@@ -113,11 +112,6 @@ class Article:
     date: date
     title: str
     body: str
-
-    @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """``tokenize(title + "\\n" + body)``, kept after first use; interned to share strings."""
-        return tuple(sys.intern(t) for t in tokenize(self.title + "\n" + self.body))
 
     @property
     def sentences(self) -> list[str]:

@@ -41,8 +41,10 @@ class NmfFactors:
     ``errors`` holds the Frobenius reconstruction error of the scaled
     start and after every full iteration (one sweep over the rows of W,
     then one over the columns of H); ``doc_ids`` aligns H rows with the
-    articles behind them.  ``converged`` is true when the fit stopped
-    on its tolerance, false when it ran into the iteration cap.
+    articles behind them, and ``doc_lengths``, when the input was a
+    ``DocTermMatrix``, with those articles' token counts.  ``converged``
+    is true when the fit stopped on its tolerance, false when it ran
+    into the iteration cap.
     """
 
     H: np.ndarray
@@ -54,6 +56,7 @@ class NmfFactors:
     doc_ids: tuple[str, ...]
     vocab: Vocabulary | None = None
     converged: bool = False
+    doc_lengths: np.ndarray | None = None
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
@@ -173,10 +176,10 @@ def nmf_factorize(
     w /= norms[:, None]
     h *= norms[None, :]
 
-    doc_ids = matrix.doc_ids if isinstance(matrix, DocTermMatrix) else tuple(
-        str(i) for i in range(d)
-    )
-    vocab = matrix.vocab if isinstance(matrix, DocTermMatrix) else None
+    if isinstance(matrix, DocTermMatrix):
+        doc_ids, vocab, doc_lengths = matrix.doc_ids, matrix.vocab, matrix.doc_lengths
+    else:
+        doc_ids, vocab, doc_lengths = tuple(str(i) for i in range(d)), None, None
     err_arr = np.asarray(errors)
     err_arr.setflags(write=False)
     h.setflags(write=False)
@@ -191,6 +194,7 @@ def nmf_factorize(
         doc_ids=doc_ids,
         vocab=vocab,
         converged=converged,
+        doc_lengths=doc_lengths,
     )
 
 
@@ -248,8 +252,9 @@ def topic_weight_series(
     """Daily topic coverage from document loadings.
 
     The raw weight of topic i on day d sums length(j) * H[j, i] over the
-    documents j published on d, where length(j) counts the tokens of
-    title plus body.  Raw series are smoothed with a trailing
+    documents j published on d, where length(j) is
+    ``factors.doc_lengths[j]``, the token count of title plus body that
+    ``tfidf_matrix`` recorded.  Raw series are smoothed with a trailing
     ``window_days`` mean, then normalized:
 
     - ``per_day_share``: each day's values divided by their sum, so the
@@ -264,6 +269,8 @@ def topic_weight_series(
         raise ValueError(f"unknown normalization mode {mode!r}")
     if window_days < 1:
         raise ValueError(f"window_days must be >= 1, got {window_days}")
+    if factors.doc_lengths is None:
+        raise ValueError("factors carry no doc_lengths; factorize a DocTermMatrix")
     by_id = {a.id: a for a in articles}
     missing = [i for i in factors.doc_ids if i not in by_id]
     if missing:
@@ -281,7 +288,7 @@ def topic_weight_series(
     last = max(a.date for a in used)
     n_days = (last - first).days + 1
     days = np.array([(a.date - first).days for a in used], dtype=np.intp)
-    lengths = np.array([len(a.tokens) for a in used], dtype=float)
+    lengths = np.asarray(factors.doc_lengths, dtype=float)
     raw = np.zeros((factors.n_topics, n_days))
     # Unbuffered, in article order: each day sums its articles as a loop would.
     np.add.at(raw.T, days, lengths[:, None] * factors.H)

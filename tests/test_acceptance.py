@@ -206,6 +206,7 @@ def test_criterion_04_coverage_share_worked_values():
         iterations=0,
         errors=np.array([0.0]),
         doc_ids=("a1", "a2", "a3"),
+        doc_lengths=np.array([10, 20, 30]),
     )
     cov = topic_weight_series(factors, arts, window_days=1, mode="per_day_share")
     assert [s.values[0] for s in cov.raw] == [20.0, 40.0]

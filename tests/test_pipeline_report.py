@@ -9,6 +9,7 @@ import pytest
 import newslens.corpus as corpus
 import newslens.pipeline as pipeline
 import newslens.sentiment as sentiment
+import newslens.vectorize as vectorize
 from newslens.config import load_config
 from newslens.pipeline import (
     STAGES,
@@ -101,24 +102,24 @@ class TestParseOnce:
     def config(self, tmp_path):
         return load_config(build_run_dir(tmp_path))
 
-    def counted(self, monkeypatch, name):
+    def counted(self, monkeypatch, module, name):
         calls = []
-        real = getattr(corpus, name)
+        real = getattr(module, name)
 
         def counting(text):
             calls.append(text)
             return real(text)
 
-        monkeypatch.setattr(corpus, name, counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_topics_tokenize_each_article_once(self, config, monkeypatch):
-        calls = self.counted(monkeypatch, "tokenize")
+        calls = self.counted(monkeypatch, vectorize, "tokenize")
         state = run_pipeline(config, through="topics").state
         assert len(calls) == state.outlets["outlet_one"].n_articles
 
     def test_sentiment_splits_each_article_once(self, config, monkeypatch):
-        calls = self.counted(monkeypatch, "split_sentences")
+        calls = self.counted(monkeypatch, corpus, "split_sentences")
         state = run_pipeline(config, through="sentiment").state
         assert len(calls) == state.outlets["outlet_one"].n_articles
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from datetime import date, timedelta
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from newslens.config import load_config
+from newslens.corpus import tokenize
 from newslens.pipeline import run_pipeline
 from newslens.topics import (
     NmfFactors,
@@ -410,6 +412,7 @@ def coverage_fixture(window_days=1, mode="per_day_share", drop=()):
         iterations=0,
         errors=np.array([0.0]),
         doc_ids=("a1", "a2"),
+        doc_lengths=np.array([3, 2]),
     )
     return arts, factors, topic_weight_series(
         factors, arts, window_days=window_days, mode=mode, drop=drop
@@ -437,6 +440,7 @@ class TestTopicWeightSeries:
             iterations=0,
             errors=np.array([0.0]),
             doc_ids=("a1", "a2", "a3"),
+            doc_lengths=np.array([10, 20, 30]),
         )
         cov = topic_weight_series(factors, arts, window_days=1, mode="per_day_share")
         assert [s.values[0] for s in cov.raw] == [20.0, 40.0]
@@ -488,6 +492,7 @@ class TestTopicWeightSeries:
             iterations=0,
             errors=np.array([0.0]),
             doc_ids=("a1", "a2"),
+            doc_lengths=np.array([2, 2]),
         )
         cov = topic_weight_series(factors, arts, window_days=1, mode="per_day_share")
         vals = cov.topics[0].values
@@ -507,6 +512,20 @@ class TestTopicWeightSeries:
             topic_weight_series(factors, arts, drop=(0, 1))
         with pytest.raises(ValueError, match="missing"):
             topic_weight_series(factors, arts[:1])
+        with pytest.raises(ValueError, match="doc_lengths"):
+            topic_weight_series(dataclasses.replace(factors, doc_lengths=None), arts)
+
+    def test_doc_lengths_carried_from_matrix(self):
+        arts = [
+            make_article(id="a2", day=date(2021, 3, 2), title="Pear", body="apple pear kiwi"),
+            make_article(id="a1", day=date(2021, 3, 1), title="", body="apple pear, apple"),
+            make_article(id="a3", day=date(2021, 3, 2), title="", body="kiwi 9 z"),
+        ]
+        dtm = tfidf_matrix(arts, min_df=1)
+        factors = nmf_factorize(dtm, n_topics=1, seed=0)
+        assert factors.doc_lengths is dtm.doc_lengths
+        assert factors.doc_lengths.tolist() == [3, 4, 1]
+        assert nmf_factorize(dtm.matrix, n_topics=1, seed=0).doc_lengths is None
 
     def test_raw_matches_per_article_loop(self, tmp_path):
         def loop_raw(factors, articles):
@@ -514,7 +533,8 @@ class TestTopicWeightSeries:
             first = min(a.date for a in used)
             raw = np.zeros((factors.n_topics, (max(a.date for a in used) - first).days + 1))
             for j, art in enumerate(used):
-                raw[:, (art.date - first).days] += len(art.tokens) * factors.H[j, :]
+                length = len(tokenize(art.title + "\n" + art.body))
+                raw[:, (art.date - first).days] += length * factors.H[j, :]
             return raw
 
         rng = np.random.default_rng(71)
@@ -532,6 +552,7 @@ class TestTopicWeightSeries:
             iterations=0,
             errors=np.array([0.0]),
             doc_ids=tuple(a.id for a in reversed(arts)),
+            doc_lengths=np.array([len(tokenize(a.body)) for a in reversed(arts)]),
         )
         cfg = load_config(build_run_dir(tmp_path))
         state = run_pipeline(cfg, through="topics").state

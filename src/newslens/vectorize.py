@@ -125,7 +125,7 @@ def tfidf_matrix(
     # (doc, term) pair with its first occurrence at the front.
     key_type = np.int32 if n_docs * n_ids < 2**31 else np.int64
     keys = np.repeat(np.arange(n_docs, dtype=key_type) * n_ids, lengths)
-    keys += rank[np.frombuffer(ids, dtype=np.int32)]
+    keys += rank[np.frombuffer(ids, dtype=np.intc)]
     del ids, rank
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

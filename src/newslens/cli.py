@@ -25,6 +25,16 @@ from .config import PipelineConfig, load_config
 from .fixture import FixtureSpec, generate_fixture
 from .pipeline import PipelineError, RunState, run_pipeline
 from .report import emit_outputs
+from .tsstats import GRANGER_ALPHA
+
+
+def _topic_ids(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated topic ids, got {text!r}"
+        ) from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -35,6 +45,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--drop-topics",
         dest="drop_topics",
+        type=_topic_ids,
         help="comma-separated topic ids to exclude from analysis",
     )
     p.add_argument("--max-lag", type=int, dest="max_lag", help="maximum lag override")
@@ -47,12 +58,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         "n_topics": args.n_topics,
         "max_lag": args.max_lag,
         "window_days": args.window_days,
+        "drop_topics": args.drop_topics,
     }
     if args.out is not None:
         overrides["out_dir"] = Path(args.out)
-    if args.drop_topics is not None:
-        parts = [s for s in args.drop_topics.split(",") if s.strip()]
-        overrides["drop_topics"] = tuple(int(s) for s in parts)
     return load_config(args.config, overrides)
 
 
@@ -115,8 +124,9 @@ def _print_correlate(state: RunState) -> None:
 def _print_causality(state: RunState) -> None:
     for outlet in sorted(state.outlets):
         res = state.outlets[outlet]
-        hits = [g for g in res.granger if g.p_value < 0.01]
-        print(f"outlet {outlet}: {len(hits)} significant (topic, lag) cells at p < 0.01")
+        hits = [g for g in res.granger if g.p_value < GRANGER_ALPHA]
+        print(f"outlet {outlet}: {len(hits)} significant (topic, lag) cells "
+              f"at p < {GRANGER_ALPHA:g}")
         for g in sorted(hits, key=lambda g: g.p_value)[:10]:
             print(
                 f"  topic {g.topic} lag {g.lag}: beta {g.beta:+.4g} "
@@ -198,10 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.fn(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -140,8 +140,10 @@ def _require(mapping: dict, key: str, where: str):
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Parse a YAML or JSON config file; relative paths resolve against it.
 
-    ``overrides`` (from CLI flags) replace top-level settings after
-    parsing; keys with value None are ignored.
+    ``overrides`` (from CLI flags) map PipelineConfig field names to
+    values that replace the file's; keys with value None are ignored.
+    They are checked with the file's values, and an error in one names
+    the field.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -197,28 +199,27 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
                 settings[field] = cast(sections[name][key])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad value for {_file_key(field)}: {exc}") from exc
+    overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
     try:
-        cfg = PipelineConfig(
-            articles=articles,
-            polls=polls,
-            entities=tuple(entities),
-            out_dir=resolve(raw.get("output", "out")),
-            stopwords=opt_path(raw, "stopwords"),
-            lexicon=opt_path(senti, "lexicon"),
-            negators=opt_path(senti, "negators"),
-            intensifiers=opt_path(senti, "intensifiers"),
-            diminishers=opt_path(senti, "diminishers"),
-            labels=opt_path(senti, "labels"),
+        cfg = PipelineConfig(**{
+            "articles": articles,
+            "polls": polls,
+            "entities": tuple(entities),
+            "out_dir": resolve(raw.get("output", "out")),
+            "stopwords": opt_path(raw, "stopwords"),
+            "lexicon": opt_path(senti, "lexicon"),
+            "negators": opt_path(senti, "negators"),
+            "intensifiers": opt_path(senti, "intensifiers"),
+            "diminishers": opt_path(senti, "diminishers"),
+            "labels": opt_path(senti, "labels"),
             **settings,
-        )
+            **overridden,
+        })
     except _RangeError as exc:
-        raise ValueError(f"{path}: {_file_key(exc.field)} {exc.problem}") from None
+        name = exc.field if exc.field in overridden else _file_key(exc.field)
+        raise ValueError(f"{path}: {name} {exc.problem}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {str(exc).removeprefix('config: ')}") from None
-    if overrides:
-        cleaned = {k: v for k, v in overrides.items() if v is not None}
-        if cleaned:
-            cfg = replace(cfg, **cleaned)
 
     missing = [
         str(p)

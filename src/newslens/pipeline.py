@@ -41,7 +41,13 @@ from .topics import (
     top_keywords,
     topic_weight_series,
 )
-from .tsstats import GrangerResult, LagCorrelation, granger_scan, lagged_correlation_scan
+from .tsstats import (
+    GRANGER_ALPHA,
+    GrangerResult,
+    LagCorrelation,
+    granger_scan,
+    lagged_correlation_scan,
+)
 from .vectorize import load_stopwords, tfidf_matrix
 
 __all__ = ["STAGES", "PipelineError", "OutletResult", "ReportBundle", "RunState", "run_pipeline"]
@@ -232,7 +238,7 @@ def _granger_dict(g: GrangerResult) -> dict:
         "t_stat": g.t_stat if np.isfinite(g.t_stat) else None,
         "p_value": g.p_value,
         "n_obs": g.n_obs,
-        "significant": g.p_value < 0.01,
+        "significant": g.p_value < GRANGER_ALPHA,
     }
 
 

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
-import logging
+import os
+import shutil
+import tempfile
 from datetime import timedelta
 from pathlib import Path
 
@@ -21,128 +24,88 @@ from .series import DatedSeries
 
 __all__ = ["emit_outputs"]
 
-log = logging.getLogger(__name__)
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_series_csv(path: Path, columns: list[DatedSeries]) -> None:
+def _csv_text(columns: list[DatedSeries]) -> str:
     start = min(s.start for s in columns)
     end = max(s.end for s in columns)
-    n = (end - start).days + 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["date"] + [s.label or f"col{i}" for i, s in enumerate(columns)])
-        for i in range(n):
-            day = start + timedelta(days=i)
-            row: list[str] = [day.isoformat()]
-            for s in columns:
-                off = (day - s.start).days
-                row.append(repr(float(s.values[off])) if 0 <= off < len(s) else "")
-            w.writerow(row)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["date"] + [s.label or f"col{i}" for i, s in enumerate(columns)])
+    for i in range((end - start).days + 1):
+        day = start + timedelta(days=i)
+        row: list[str] = [day.isoformat()]
+        for s in columns:
+            off = (day - s.start).days
+            row.append(repr(float(s.values[off])) if 0 <= off < len(s) else "")
+        w.writerow(row)
+    return buf.getvalue()
+
+
+def _render(bundle: ReportBundle) -> dict[str, str]:
+    """Each output file's path, relative to the output directory, and its text."""
+    files = {"report.json": _json_text(bundle.to_dict())}
+    state = bundle.state
+    # (file stem, columns, chart title, y label): one CSV and one line chart each
+    table: list[tuple[str, list[DatedSeries], str, str]] = []
+    if state.spread is not None:
+        table.append(("spread", [state.spread], "Poll spread (A - B)", "points"))
+    for name in sorted(state.outlets):
+        res = state.outlets[name]
+        tag = outlet_slug(name)
+        if res.mention_series:
+            cols = [res.mention_series[k] for k in sorted(res.mention_series)]
+            table.append((f"mentions_{tag}", cols, f"Daily entity mentions: {name}", "sentences"))
+        if res.coverage is not None:
+            cols = list(res.coverage.topics)
+            table.append((f"coverage_{tag}", cols, f"Topic coverage: {name}", res.coverage.mode))
+            if res.agenda is not None and len(res.agenda) >= 2:
+                labels = [f"topic {i}" for i in res.coverage.topic_ids]
+                files[f"charts/agenda_{tag}.svg"] = radar_chart(
+                    labels, res.agenda, f"Agenda profile: {name}"
+                )
+        if res.sb_daily is not None:
+            cols = [res.sb_daily]
+            table.append((f"sentiment_bias_{tag}", cols, f"Sentiment bias: {name}", "bias"))
+    for stem, cols, title, y_label in table:
+        files[f"series/{stem}.csv"] = _csv_text(cols)
+        files[f"charts/{stem}.svg"] = line_chart(cols, title, y_label=y_label)
+    return files
 
 
 def emit_outputs(bundle: ReportBundle, out_dir) -> dict:
     """Write all outputs under ``out_dir`` and return the manifest dict.
 
-    On any write failure the files created so far are removed before the
-    error propagates, so a partial output tree is never left behind.
+    Every file is rendered in memory first, so a failure to render one
+    (a chart error, a non-finite value) writes nothing.  The files are
+    then written into a staging directory inside ``out_dir`` and moved
+    into place one by one, ``manifest.json`` last.  Other files in
+    ``out_dir`` are left alone.
     """
+    files = {path: text.encode("utf-8") for path, text in _render(bundle).items()}
+    manifest = {
+        "files": [
+            {"path": path, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+            for path, data in sorted(files.items())
+        ],
+        "runtime_seconds": bundle.runtime_seconds,
+    }
+    files["manifest.json"] = _json_text(manifest).encode("utf-8")
+
     out = Path(out_dir)
-    written: list[Path] = []
+    for sub in ("series", "charts"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".emit-", dir=out))
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "series").mkdir(exist_ok=True)
-        (out / "charts").mkdir(exist_ok=True)
-
-        report_path = out / "report.json"
-        report_path.write_text(
-            json.dumps(bundle.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
-        written.append(report_path)
-
-        state = bundle.state
-        if state.spread is not None:
-            p = out / "series" / "spread.csv"
-            _write_series_csv(p, [state.spread])
-            written.append(p)
-            p = out / "charts" / "spread.svg"
-            p.write_text(
-                line_chart([state.spread], "Poll spread (A - B)", y_label="points"),
-                encoding="utf-8",
-            )
-            written.append(p)
-
-        for name in sorted(state.outlets):
-            res = state.outlets[name]
-            tag = outlet_slug(name)
-
-            if res.mention_series:
-                cols = [res.mention_series[k] for k in sorted(res.mention_series)]
-                p = out / "series" / f"mentions_{tag}.csv"
-                _write_series_csv(p, cols)
-                written.append(p)
-                p = out / "charts" / f"mentions_{tag}.svg"
-                p.write_text(
-                    line_chart(cols, f"Daily entity mentions: {name}", y_label="sentences"),
-                    encoding="utf-8",
-                )
-                written.append(p)
-
-            if res.coverage is not None:
-                p = out / "series" / f"coverage_{tag}.csv"
-                _write_series_csv(p, list(res.coverage.topics))
-                written.append(p)
-                p = out / "charts" / f"coverage_{tag}.svg"
-                p.write_text(
-                    line_chart(
-                        list(res.coverage.topics),
-                        f"Topic coverage: {name}",
-                        y_label=res.coverage.mode,
-                    ),
-                    encoding="utf-8",
-                )
-                written.append(p)
-
-            if res.agenda is not None and len(res.agenda) >= 2:
-                labels = [f"topic {i}" for i in res.coverage.topic_ids]
-                p = out / "charts" / f"agenda_{tag}.svg"
-                p.write_text(
-                    radar_chart(labels, res.agenda, f"Agenda profile: {name}"),
-                    encoding="utf-8",
-                )
-                written.append(p)
-
-            if res.sb_daily is not None:
-                p = out / "series" / f"sentiment_bias_{tag}.csv"
-                _write_series_csv(p, [res.sb_daily])
-                written.append(p)
-                p = out / "charts" / f"sentiment_bias_{tag}.svg"
-                p.write_text(
-                    line_chart([res.sb_daily], f"Sentiment bias: {name}", y_label="bias"),
-                    encoding="utf-8",
-                )
-                written.append(p)
-
-        manifest = {
-            "files": [
-                {
-                    "path": str(p.relative_to(out)),
-                    "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
-                    "bytes": p.stat().st_size,
-                }
-                for p in sorted(written)
-            ],
-            "runtime_seconds": bundle.runtime_seconds,
-        }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
-        return manifest
-    except Exception:
-        for p in written:
-            try:
-                p.unlink()
-            except OSError:
-                log.warning("could not remove partial output %s", p)
-        raise
+        for sub in ("series", "charts"):
+            (staging / sub).mkdir()
+        for path, data in files.items():
+            (staging / path).write_bytes(data)
+        for path in files:
+            os.replace(staging / path, out / path)
+    finally:
+        shutil.rmtree(staging)
+    return manifest

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
+import unicodedata
 from dataclasses import dataclass
 from datetime import date
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .corpus import Article, EntitySpec, named_entities, tokenize
 from .series import DatedSeries, pooled_window_mean, sliding_mean
+from .vectorize import load_stopwords
 
 __all__ = [
     "SENTIMENT_CLASSES",
@@ -67,18 +69,12 @@ class Lexicon:
     diminishers: frozenset[str]
 
 
-def _load_terms(path) -> frozenset[str]:
-    terms = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.strip()
-            if term and not term.startswith("#"):
-                terms.add(term.lower())
-    return frozenset(terms)
-
-
 def load_lexicon(valence_path, negators_path, intensifiers_path, diminishers_path) -> Lexicon:
-    """Valence file is TSV ``term<TAB>valence`` with valence in {-2,-1,1,2}."""
+    """Valence file is TSV ``term<TAB>valence`` with valence in {-2,-1,1,2}.
+
+    The marker files list one term per line.  Every term is NFC-normalized
+    and lowercased, as ``tokenize`` makes the tokens it is matched against.
+    """
     valence: dict[str, int] = {}
     with open(valence_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -88,7 +84,7 @@ def load_lexicon(valence_path, negators_path, intensifiers_path, diminishers_pat
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{valence_path}:{lineno}: expected term<TAB>valence")
-            term = parts[0].strip().lower()
+            term = unicodedata.normalize("NFC", parts[0].strip()).lower()
             try:
                 val = int(parts[1])
             except ValueError as exc:
@@ -102,9 +98,9 @@ def load_lexicon(valence_path, negators_path, intensifiers_path, diminishers_pat
         raise ValueError(f"{valence_path}: empty lexicon")
     return Lexicon(
         valence=valence,
-        negators=_load_terms(negators_path),
-        intensifiers=_load_terms(intensifiers_path),
-        diminishers=_load_terms(diminishers_path),
+        negators=load_stopwords(negators_path),
+        intensifiers=load_stopwords(intensifiers_path),
+        diminishers=load_stopwords(diminishers_path),
     )
 
 

@@ -24,12 +24,16 @@ __all__ = [
     "GrangerResult",
     "granger_beta",
     "granger_scan",
+    "GRANGER_ALPHA",
 ]
 
 log = logging.getLogger(__name__)
 
 # Large-sample critical values for the ADF t-statistic, constant-only case.
 ADF_CRITICAL = {"1%": -3.43, "5%": -2.86, "10%": -2.57}
+
+# Level below which a slope-test cell counts as significant.
+GRANGER_ALPHA = 0.01
 
 
 def linear_detrend(series: DatedSeries) -> DatedSeries:
@@ -397,16 +401,15 @@ def granger_scan(
     spread: DatedSeries,
     coverage: list[DatedSeries],
     max_lag: int,
-    alpha: float = 0.01,
-    adf_max_lag_order: int | None = None,
 ) -> list[GrangerResult]:
     """Slope tests of differenced spread on each differenced topic series.
 
     Both sides are first-differenced; the differenced spread is checked
     with the unit-root test and a warning is logged when stationarity is
     not supported at the 5% level.  Every (topic, lag) cell for lags
-    0..max_lag is returned; cells with p < alpha are the significant
-    ones.  An empty coverage list yields an empty result.
+    0..max_lag is returned; the report marks cells with
+    p < GRANGER_ALPHA as significant.  An empty coverage list yields an
+    empty result.
     """
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
@@ -415,7 +418,7 @@ def granger_scan(
         return results
     d_spread = first_difference(spread)
     try:
-        adf = adf_test(d_spread, adf_max_lag_order)
+        adf = adf_test(d_spread)
         if not adf.reject_5pct:
             log.warning(
                 "differenced spread may be non-stationary "

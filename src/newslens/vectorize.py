@@ -24,7 +24,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 def load_stopwords(path) -> frozenset[str]:
-    """One term per line; blank lines and lines starting with # are skipped."""
+    """A term list, one term per line: a stoplist or a lexicon marker list.
+
+    Blank lines and lines starting with # are skipped; terms are
+    NFC-normalized and lowercased, as ``tokenize`` makes tokens.
+    """
     terms = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:

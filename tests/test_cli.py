@@ -107,6 +107,20 @@ class TestRun:
         assert rc == 2
         assert "n_topics" in capsys.readouterr().err
 
+    def test_out_of_range_override_names_config(self, run_dir, capsys):
+        config = run_dir / "config.yaml"
+        rc = invoke("validate", "--config", str(config), "--max-lag", "-1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: max_lag must be >= 0, got -1\n"
+
+    def test_malformed_drop_topics_names_flag(self, run_dir, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            invoke("validate", "--config", str(run_dir / "config.yaml"), "--drop-topics", "a")
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --drop-topics: expected comma-separated topic ids, got 'a'" in err
+
 
 class TestStageCommands:
     def test_causality_and_run_write_identical_reports(self, run_dir, tmp_path):

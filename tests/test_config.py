@@ -230,8 +230,21 @@ class TestPipelineConfigValidation:
         p = write_yaml(tmp_path, mapping)
         with pytest.raises(ValueError, match=field) as exc_info:
             load_config(p, overrides)
-        if not overrides:
-            assert str(p) in str(exc_info.value)
+        assert str(p) in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("max_lag", -1, "must be >= 0, got -1"),
+            ("n_topics", 1, "must be >= 2, got 1"),
+            ("drop_topics", (9,), "[9] outside [0, 6)"),
+        ],
+    )
+    def test_override_error_names_file_and_field(self, tmp_path, field, value, problem):
+        p = write_yaml(tmp_path, base_mapping(tmp_path))
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p, {field: value})
+        assert str(exc_info.value) == f"{p}: {field} {problem}"
 
     @pytest.mark.parametrize(
         "section, key, value, problem",

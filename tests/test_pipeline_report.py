@@ -350,6 +350,61 @@ class TestEmitOutputs:
         assert not (out / "report.json").exists()
         assert not (out / "manifest.json").exists()
 
+    @staticmethod
+    def snapshot(out) -> dict:
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def test_failed_render_keeps_previous_run(self, run_bundle, tmp_path, monkeypatch):
+        import newslens.report as report_mod
+
+        out = tmp_path / "out"
+        emit_outputs(run_bundle, out)
+        before = self.snapshot(out)
+        assert len(before) == 11
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("chart failure")
+
+        monkeypatch.setattr(report_mod, "line_chart", boom)
+        with pytest.raises(RuntimeError, match="chart failure"):
+            emit_outputs(run_bundle, out)
+        assert self.snapshot(out) == before
+        assert not list(out.glob(".emit-*"))
+
+    def test_failed_write_keeps_previous_run(self, run_bundle, tmp_path, monkeypatch):
+        import pathlib
+
+        out = tmp_path / "out"
+        emit_outputs(run_bundle, out)
+        before = self.snapshot(out)
+        real_write = pathlib.Path.write_bytes
+        calls = []
+
+        def fail_third(self, data):
+            calls.append(self)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_write(self, data)
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", fail_third)
+        with pytest.raises(OSError, match="disk full"):
+            emit_outputs(run_bundle, out)
+        assert len(calls) == 3
+        assert self.snapshot(out) == before
+        assert not list(out.glob(".emit-*"))
+
+    def test_no_staging_left_and_other_files_kept(self, run_bundle, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "config.yaml").write_text("seed: 1\n", encoding="utf-8")
+        emit_outputs(run_bundle, out)
+        emit_outputs(run_bundle, out)
+        assert not list(out.glob(".emit-*"))
+        assert (out / "config.yaml").read_text(encoding="utf-8") == "seed: 1\n"
+        assert set(self.snapshot(out)) == {"config.yaml", "manifest.json"} | {
+            f["path"] for f in json.loads((out / "manifest.json").read_text())["files"]
+        }
+
     def test_partial_outputs_removed_on_failure(self, run_bundle, tmp_path, monkeypatch):
         import newslens.report as report_mod
 

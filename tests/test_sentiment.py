@@ -106,6 +106,22 @@ class TestLoadLexicon:
         with pytest.raises(ValueError, match="empty"):
             load_lexicon(*paths)
 
+    def test_decomposed_terms_match_tokens(self, tmp_path):
+        # "café" and "néver" written with combining accents; tokenize
+        # yields the composed (NFC) forms
+        paths = self.write_files(tmp_path, valence="cafe\u0301\t1\n")
+        paths[1].write_text("ne\u0301ver\n", encoding="utf-8")
+        lex = load_lexicon(*paths)
+        assert lex.valence == {"caf\u00e9": 1}
+        assert lex.negators == frozenset({"n\u00e9ver"})
+        assert score_sentence("the caf\u00e9", lex) == "positive"
+        assert score_sentence("n\u00e9ver the caf\u00e9", lex) == "negative"
+
+    def test_composed_and_decomposed_terms_are_duplicates(self, tmp_path):
+        paths = self.write_files(tmp_path, valence="caf\u00e9\t1\ncafe\u0301\t2\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            load_lexicon(*paths)
+
     def test_default_lexicon_is_well_formed(self):
         lex = default_lexicon()
         assert len(lex.valence) > 500

@@ -174,7 +174,10 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         aliases = [ent["aliases"]] if isinstance(ent["aliases"], str) else ent["aliases"]
         if not isinstance(aliases, list):
             raise ValueError(f"{path}: entity 'aliases' must be a string or a list")
-        entities.append(EntitySpec(label=str(ent["label"]), aliases=tuple(str(a) for a in aliases)))
+        try:
+            entities.append(EntitySpec(str(ent["label"]), tuple(str(a) for a in aliases)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def section(key: str) -> dict:
         value = raw.get(key)

@@ -3,8 +3,10 @@
 Articles arrive as line-delimited JSON (one object per line with keys
 id, outlet, date, title, body); polls as a CSV with columns
 date, pollster, pct_a, pct_b.  ``named_entities`` is the one rule for
-which tracked entities a text names; ingest filtering and
-``sentiment.mention_records`` both use it.
+which tracked entities a text names: NFC-normalize, then search each
+entity's pattern.  Ingest filtering uses it, and so does
+``sentiment.mention_records``, which applies the same patterns to each
+sentence it has normalized once.
 """
 
 from __future__ import annotations
@@ -33,16 +35,19 @@ __all__ = [
 
 _ARTICLE_KEYS = {"id", "outlet", "date", "title", "body"}
 
-# Unicode-aware alphabetic runs of two or more: letters only, no digits
-# or underscore.  Each match is a whole run, so a single letter is skipped.
+# Runs of two or more word characters that are neither decimal digits nor
+# underscore: letters, plus numerics that are not decimal digits, such as
+# "²" or "½".  Each match is a whole run, so a single character is skipped.
 _TOKEN_RE = re.compile(r"[^\W\d_]{2,}")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased alphabetic tokens of length >= 2, in input order.
+    """Lowercased tokens of length >= 2, in input order.
 
-    Text is NFC-normalized first; digits and punctuation split tokens,
-    so "e-mail server 2016" yields ["mail", "server"].
+    Text is NFC-normalized first.  A token is a run of word characters
+    other than decimal digits and underscore, so digits and punctuation
+    split tokens ("e-mail server 2016" yields ["mail", "server"]) while
+    other numerics stay in them ("x²y ab½c" yields ["x²y", "ab½c"]).
     """
     normalized = unicodedata.normalize("NFC", text).lower()
     return _TOKEN_RE.findall(normalized)
@@ -59,7 +64,9 @@ _ABBREVIATIONS = frozenset(
     """.split()
 )
 
-_TERMINATOR_RE = re.compile(r"[.!?]+")
+# A run of terminators followed by whitespace; group 1 is the first
+# character after that whitespace.  ``\s`` is exactly ``str.isspace``.
+_SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s+(\S))")
 
 
 def _word_before(text: str, pos: int) -> str:
@@ -77,33 +84,27 @@ def split_sentences(text: str) -> list[str]:
     slices of the input, stripped, so joining them reproduces the input
     up to whitespace.
     """
-    n = len(text)
-    bounds: list[int] = []
-    for m in _TERMINATOR_RE.finditer(text):
-        j = m.end()
-        if j >= n or not text[j].isspace():
+    out = []
+    start = 0
+    for m in _SENTENCE_END_RE.finditer(text):
+        if not m[1].isupper():
             continue
-        k = j
-        while k < n and text[k].isspace():
-            k += 1
-        if k >= n or not text[k].isupper():
-            continue
-        if "." in m.group():
+        if "." in m[0]:
             word = _word_before(text, m.start())
             if word and (word.lower() in _ABBREVIATIONS or len(word) == 1):
                 continue
-        bounds.append(j)
-    out = []
-    start = 0
-    for b in bounds + [n]:
-        piece = text[start:b].strip()
+        end = m.end()
+        piece = text[start:end].strip()
         if piece:
             out.append(piece)
-        start = b
+        start = end
+    piece = text[start:].strip()
+    if piece:
+        out.append(piece)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Article:
     """One news article; ``date`` is publication day, ``body`` is plain text."""
 
@@ -133,13 +134,17 @@ class EntitySpec:
         if not self.aliases:
             raise ValueError(f"entity {self.label!r} needs at least one alias")
         object.__setattr__(self, "aliases", tuple(self.aliases))
-        parts = "|".join(
-            re.escape(unicodedata.normalize("NFC", a)) for a in self.aliases
-        )
+        if any(not a.strip() for a in self.aliases):
+            raise ValueError(f"entity {self.label!r} has a blank alias")
+        # Each alias comes first and then looks behind its own length for a
+        # word character before the match start, so ``re`` can skip ahead to
+        # an alias's first letter.  A case-insensitive match is one character
+        # per pattern character, so the lookbehind tests the same character
+        # as a leading ``(?<!\w)`` would, and every match span is the same.
+        nfc = [unicodedata.normalize("NFC", a) for a in self.aliases]
+        parts = "|".join(rf"{re.escape(a)}(?<!\w(?s:.){{{len(a)}}})" for a in nfc)
         object.__setattr__(
-            self,
-            "_pattern",
-            re.compile(rf"(?<!\w)(?:{parts})(?!\w)", re.IGNORECASE),
+            self, "_pattern", re.compile(rf"(?:{parts})(?!\w)", re.IGNORECASE)
         )
 
     def matches(self, text: str) -> bool:

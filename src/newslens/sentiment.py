@@ -22,7 +22,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import Article, EntitySpec, named_entities, tokenize
+from .corpus import _TOKEN_RE, Article, EntitySpec, named_entities, tokenize
 from .series import DatedSeries, pooled_window_mean, sliding_mean
 from .vectorize import load_stopwords
 
@@ -127,7 +127,11 @@ def score_sentence(text: str, lexicon: Lexicon) -> str:
     tokens flips its sign.  The summed score s maps to classes at
     s <= -2, s < 0, s == 0, s < 2, and s >= 2.
     """
-    toks = tokenize(text)
+    return _score_tokens(tokenize(text), lexicon)
+
+
+def _score_tokens(toks: list[str], lexicon: Lexicon) -> str:
+    """``score_sentence`` of a text whose tokens are ``toks``."""
     score = 0.0
     for i, tok in enumerate(toks):
         base = lexicon.valence.get(tok)
@@ -159,10 +163,8 @@ def score_sentence(text: str, lexicon: Lexicon) -> str:
 _CLAUSE_SPLIT = re.compile(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", re.IGNORECASE)
 
 
-def _attribute(sent: str, named: tuple[EntitySpec, ...]) -> list[tuple[EntitySpec, str]]:
-    """(entity, clause) mentions of one sentence that names ``named``."""
-    if len(named) < 2:
-        return [(e, sent) for e in named]
+def _attribute(sent: str, named: list[EntitySpec]) -> list[tuple[EntitySpec, str]]:
+    """(entity, clause) mentions of one sentence that names several entities."""
     return [
         (e, clause)
         for clause in map(str.strip, _CLAUSE_SPLIT.split(sent))
@@ -171,7 +173,7 @@ def _attribute(sent: str, named: tuple[EntitySpec, ...]) -> list[tuple[EntitySpe
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MentionRecord:
     """One scored entity mention."""
 
@@ -221,44 +223,52 @@ def mention_records(
 ) -> tuple[dict[str, DatedSeries], list[MentionRecord]]:
     """Mention-count series by entity label, and every mention scored.
 
-    Each article's sentences are read once and each sentence's entities
-    found once.  A sentence counts toward every entity it names, on its
-    article's day (days without articles count zero); the daily counts
-    are smoothed with a trailing ``window_days`` mean.  A sentence naming
-    one entity is one mention; a sentence naming several is split into
-    clauses at commas, semicolons and coordinating conjunctions, each
-    clause a mention of every entity it names.  Mentions come in article
-    order.  When ``labels`` is given, a sentence with a precomputed label
-    uses it for all its mentions; unlabeled sentences fall back to the
-    rule scorer.
+    Each article's sentences are read once; each sentence is NFC-normalized
+    once and tested against every entity's pattern, and one that names no
+    entity is dropped there.  A sentence counts toward every entity it
+    names, on its article's day (days without articles count zero); the
+    daily counts are smoothed with a trailing ``window_days`` mean.  A
+    sentence naming one entity is one mention, scored from the tokens of
+    its normalized text; a sentence naming several is split into clauses
+    at commas, semicolons and coordinating conjunctions, each clause a
+    mention of every entity it names, matched and scored on its own.
+    Mentions come in article order.  When ``labels`` is given, a sentence
+    with a precomputed label uses it for all its mentions; unlabeled
+    sentences fall back to the rule scorer.
     """
     if not articles:
         raise ValueError("no articles")
     first = min(a.date for a in articles)
     n_days = (max(a.date for a in articles) - first).days + 1
-    counts = {e.label: np.zeros(n_days) for e in entities}
+    hit_days: dict[str, list[int]] = {e.label: [] for e in entities}
     records: list[MentionRecord] = []
     missing = 0
+    searches = [(e, e._pattern.search) for e in entities]
     for art in articles:
         day = (art.date - first).days
         for idx, sent in enumerate(art.sentences):
-            named = tuple(named_entities(sent, entities))
+            text = unicodedata.normalize("NFC", sent)
+            named = [e for e, search in searches if search(text)]
+            if not named:
+                continue
             for e in named:
-                counts[e.label][day] += 1
+                hit_days[e.label].append(day)
             given = None if labels is None else labels.get((art.id, idx))
+            if len(named) == 1:
+                missing += given is None
+                cls = given or _score_tokens(_TOKEN_RE.findall(text.lower()), lexicon)
+                records.append(MentionRecord(art.id, art.date, named[0].label, sent, cls))
+                continue
             for entity, clause in _attribute(sent, named):
                 missing += given is None
-                records.append(
-                    MentionRecord(
-                        article_id=art.id,
-                        date=art.date,
-                        entity=entity.label,
-                        sentence=clause,
-                        sentiment=given or score_sentence(clause, lexicon),
-                    )
-                )
+                cls = given or score_sentence(clause, lexicon)
+                records.append(MentionRecord(art.id, art.date, entity.label, clause, cls))
     if labels is not None and missing:
         log.warning("%d mentions had no precomputed label; rule scorer used", missing)
+    counts = {
+        label: np.bincount(np.array(days, dtype=np.intp), minlength=n_days).astype(float)
+        for label, days in hit_days.items()
+    }
     series = {
         label: sliding_mean(DatedSeries(first, raw, label=f"mentions_{label}"), window_days)
         for label, raw in counts.items()

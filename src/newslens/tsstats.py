@@ -62,17 +62,13 @@ def first_difference(series: DatedSeries) -> DatedSeries:
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based); tied values share the mean of their ranks."""
     v = np.asarray(values, dtype=float)
-    n = v.size
     order = np.argsort(v, kind="stable")
     sv = v[order]
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # Tie runs of the sorted values: [start, end] inclusive.
+    starts = np.flatnonzero(np.concatenate(([True], np.not_equal(sv[1:], sv[:-1]))))
+    ends = np.append(starts[1:], v.size) - 1
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

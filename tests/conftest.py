@@ -9,6 +9,16 @@ import pytest
 
 from newslens.corpus import Article, EntitySpec
 
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # Property tests draw the same examples on every run and keep no
+    # example database, so a tier-1 run repeats exactly.
+    settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+    settings.load_profile("deterministic")
+
 
 def make_article(
     id: str = "a1",

@@ -302,11 +302,17 @@ class TestPipelineConfigValidation:
             ("labels", "entity labels must differ"),
             ("aliases", "entities share aliases ['arden']"),
             ("lexicon", "a custom lexicon needs all four files"),
+            ("empty_label", "entity label must be non-empty"),
+            ("blank_alias", "entity 'Briggs' has a blank alias"),
         ],
     )
     def test_config_error_names_file(self, tmp_path, edit, problem):
         mapping = base_mapping(tmp_path)
-        if edit == "articles":
+        if edit == "empty_label":
+            mapping["entities"][0]["label"] = ""
+        elif edit == "blank_alias":
+            mapping["entities"][1]["aliases"] = ["Briggs", " "]
+        elif edit == "articles":
             mapping["articles"] = {"Fox News": "articles.jsonl", "fox_news": "articles.jsonl"}
         elif edit == "labels":
             mapping["entities"][1]["label"] = "Arden"

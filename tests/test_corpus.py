@@ -47,6 +47,11 @@ class TestEntitySpec:
         with pytest.raises(ValueError):
             EntitySpec(label="X", aliases=())
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n", "\u3000"])
+    def test_blank_alias_rejected(self, blank):
+        with pytest.raises(ValueError, match="entity 'Arden' has a blank alias"):
+            EntitySpec(label="Arden", aliases=("Arden", blank))
+
 
 def count_normalize(monkeypatch) -> list[str]:
     """Record each text ``corpus`` NFC-normalizes."""

@@ -125,8 +125,10 @@ class TestParseOnce:
 
     @pytest.mark.parametrize("body", [None, "Arden won, but Briggs, Jr. objected; Arden smiled."])
     def test_mention_reader_normalizes_each_sentence_once(self, tmp_path, monkeypatch, body):
-        # Texts ``corpus`` normalizes while ``mention_records`` runs; the
-        # scorer's own tokenize is counted apart.
+        # Texts ``corpus`` and ``sentiment`` normalize while ``mention_records``
+        # runs: each sentence once, to match and (naming one entity) to score;
+        # each clause of a sentence naming several once to match and once
+        # more per mention scored from it.
         path = build_run_dir(tmp_path)
         if body is not None:
             articles = tmp_path / "articles.jsonl"
@@ -156,23 +158,28 @@ class TestParseOnce:
             scored.append(text)
             return real_score(text, lexicon)
 
-        monkeypatch.setattr(corpus, "unicodedata", SimpleNamespace(normalize=normalize))
+        counting = SimpleNamespace(normalize=normalize)
+        monkeypatch.setattr(corpus, "unicodedata", counting)
+        monkeypatch.setattr(sentiment, "unicodedata", counting)
         monkeypatch.setattr(pipeline, "mention_records", reader)
         monkeypatch.setattr(sentiment, "score_sentence", score)
         state = run_pipeline(config, through="sentiment").state
 
-        expected, multi = [], 0
+        sentences, clauses, clause_mentions, one_entity = [], [], [], 0
         for art in state.articles["outlet_one"]:
             for sent in art.sentences:
-                expected.append(sent)
-                if len(tuple(corpus.named_entities(sent, config.entities))) > 1:
-                    multi += 1
-                    clauses = re.split(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", sent)
-                    expected.extend(c.strip() for c in clauses if c.strip())
-        expected.extend(scored)  # score_sentence tokenizes each scored clause once
-        assert multi == (body is not None)
-        assert sorted(normalized) == sorted(expected)
-        assert len(scored) == len(state.outlets["outlet_one"].mentions)
+                sentences.append(sent)
+                named = tuple(corpus.named_entities(sent, config.entities))
+                one_entity += len(named) == 1
+                if len(named) > 1:
+                    parts = re.split(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", sent)
+                    parts = [c.strip() for c in parts if c.strip()]
+                    clauses.extend(parts)
+                    clause_mentions.extend(c for c in parts for e in named if e.matches(c))
+        assert len(clauses) == (4 if body is not None else 0)
+        assert scored == clause_mentions  # a one-entity sentence is not scored apart
+        assert sorted(normalized) == sorted(sentences + clauses + clause_mentions)
+        assert len(state.outlets["outlet_one"].mentions) == one_entity + len(clause_mentions)
 
 
 class TestStageErrors:

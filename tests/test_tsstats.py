@@ -135,6 +135,34 @@ class TestSpearman:
             got = spearman(series(x), series(y))
             assert got == brute_force_spearman(x, y)
 
+    def test_midranks_match_loop_oracle(self):
+        def loop_midranks(values):
+            # The former loop: walk each tie run of the stable sort.
+            v = np.asarray(values, dtype=float)
+            n = v.size
+            order = np.argsort(v, kind="stable")
+            sv = v[order]
+            ranks = np.empty(n)
+            i = 0
+            while i < n:
+                j = i
+                while j + 1 < n and sv[j + 1] == sv[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(2718)
+        cases = [[], [3.0], [2.0, 2.0], [0.0, -0.0, np.nan, np.nan, 1.0, np.inf, -np.inf]]
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            cases.append(rng.integers(0, int(rng.integers(1, 8)), size=n).astype(float))
+            cases.append(np.round(rng.normal(size=n), 1))
+        for v in cases:
+            got, want = tsstats._midranks(v), loop_midranks(v)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
     def test_rank_invariance(self):
         rng = np.random.default_rng(77)
         for trial in range(20):

@@ -92,6 +92,10 @@ class TestTokenize:
         # decomposed form tokenizes identically to the composed form
         assert tokenize("café") == tokenize("café")
 
+    def test_other_numerics_stay_in_tokens(self):
+        # Decimal digits split tokens; "²" and "½" are numerics, not decimal digits.
+        assert tokenize("x²y ab½c a2b") == ["x²y", "ab½c"]
+
     def test_empty_and_symbol_only(self):
         assert tokenize("") == []
         assert tokenize("123 !@# _") == []

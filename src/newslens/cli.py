@@ -39,7 +39,7 @@ def _topic_ids(text: str) -> tuple[int, ...]:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML or JSON config file")
-    p.add_argument("--out", help="output directory (overrides config)")
+    p.add_argument("--out", dest="out_dir", type=Path, help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--n-topics", type=int, dest="n_topics", help="topic count override")
     p.add_argument(
@@ -53,16 +53,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides: dict = {
-        "seed": args.seed,
-        "n_topics": args.n_topics,
-        "max_lag": args.max_lag,
-        "window_days": args.window_days,
-        "drop_topics": args.drop_topics,
-    }
-    if args.out is not None:
-        overrides["out_dir"] = Path(args.out)
-    return load_config(args.config, overrides)
+    # Each flag whose dest is a PipelineConfig field overrides that field.
+    fields = PipelineConfig.__dataclass_fields__
+    return load_config(args.config, {k: v for k, v in vars(args).items() if k in fields})
 
 
 def _print_validate(state: RunState) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import yaml
@@ -32,13 +32,13 @@ class _RangeError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a pipeline run needs, with resolved paths."""
+    """Everything a pipeline run needs; load_config resolves its paths."""
 
     articles: dict[str, Path]
     polls: Path
     entities: tuple[EntitySpec, EntitySpec]
     seed: int
-    out_dir: Path
+    out_dir: Path = Path("out")
     n_topics: int = 6
     drop_topics: tuple[int, ...] = ()
     normalization: str = "per_day_share"
@@ -107,38 +107,76 @@ class PipelineConfig:
             )
 
 
-# PipelineConfig fields read from a config-file section (None: the top
-# level) and key; fields absent from the file keep their defaults.
-_SETTINGS = {
-    "seed": (None, "seed", int),
-    "n_topics": ("topics", "count", int),
-    "drop_topics": ("topics", "drop", lambda v: tuple(int(i) for i in v or [])),
-    "normalization": ("topics", "normalization", str),
-    "min_df": ("topics", "min_df", int),
-    "keywords_per_topic": ("topics", "keywords", int),
-    "window_days": (None, "window_days", int),
-    "max_lag": ("analysis", "max_lag", int),
-    "n_perm": ("analysis", "permutations", int),
-    "bootstrap_b": ("bootstrap", "samples", int),
-    "bootstrap_gamma": ("bootstrap", "level", float),
-    "membership_threshold": ("sentiment", "membership_threshold", float),
-    "min_topic_mentions": ("sentiment", "min_topic_mentions", int),
+class _EntryError(ValueError):
+    """A malformed ``articles`` or ``entities`` value; the message names it."""
+
+
+def _articles(value) -> dict[str, Path]:
+    if not isinstance(value, dict) or not value:
+        raise _EntryError("'articles' must map outlet names to file paths")
+    return {str(outlet): Path(p) for outlet, p in value.items()}
+
+
+def _entities(value) -> tuple[EntitySpec, ...]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise _EntryError("'entities' must list exactly two entries")
+    entities = []
+    for ent in value:
+        if not isinstance(ent, dict) or "label" not in ent or "aliases" not in ent:
+            raise _EntryError("each entity needs 'label' and 'aliases'")
+        aliases = [ent["aliases"]] if isinstance(ent["aliases"], str) else ent["aliases"]
+        if not isinstance(aliases, list):
+            raise _EntryError("entity 'aliases' must be a string or a list")
+        if not all(isinstance(name, str) for name in [ent["label"], *aliases]):
+            raise _EntryError("entity labels and aliases must be strings")
+        try:
+            entities.append(EntitySpec(ent["label"], tuple(aliases)))
+        except ValueError as exc:
+            raise _EntryError(str(exc)) from None
+    return tuple(entities)
+
+
+def _file(value) -> Path:
+    """An input file, which must exist."""
+    return Path(value)
+
+
+# The config file's layout: each PipelineConfig field a file can set, by
+# dotted key (section.key, or key at the top level) and parse.  A Path a
+# parse returns is relative to the config file.
+_SCHEMA = {
+    "articles": ("articles", _articles),
+    "polls": ("polls", _file),
+    "entities": ("entities", _entities),
+    "seed": ("seed", int),
+    "out_dir": ("output", Path),
+    "window_days": ("window_days", int),
+    "stopwords": ("stopwords", _file),
+    "n_topics": ("topics.count", int),
+    "drop_topics": ("topics.drop", lambda v: tuple(int(i) for i in v)),
+    "normalization": ("topics.normalization", str),
+    "min_df": ("topics.min_df", int),
+    "keywords_per_topic": ("topics.keywords", int),
+    "max_lag": ("analysis.max_lag", int),
+    "n_perm": ("analysis.permutations", int),
+    "bootstrap_b": ("bootstrap.samples", int),
+    "bootstrap_gamma": ("bootstrap.level", float),
+    "membership_threshold": ("sentiment.membership_threshold", float),
+    "min_topic_mentions": ("sentiment.min_topic_mentions", int),
+    "lexicon": ("sentiment.lexicon", _file),
+    "negators": ("sentiment.negators", _file),
+    "intensifiers": ("sentiment.intensifiers", _file),
+    "diminishers": ("sentiment.diminishers", _file),
+    "labels": ("sentiment.labels", _file),
 }
-
-
-def _file_key(field: str) -> str:
-    section, key, _ = _SETTINGS[field]
-    return key if section is None else f"{section}.{key}"
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ValueError(f"{where}: missing required key {key!r}")
-    return mapping[key]
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Parse a YAML or JSON config file; relative paths resolve against it.
+
+    The file may hold only the keys ``_SCHEMA`` lists, at the top level
+    and in each section; any other key is rejected by its dotted name.  A
+    null value counts as absent, and an absent key keeps the field's default.
 
     ``overrides`` (from CLI flags) map PipelineConfig field names to
     values that replace the file's; keys with value None are ignored.
@@ -153,82 +191,53 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ValueError(f"{path}: cannot parse config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a mapping")
-    base = path.parent
 
-    def resolve(p) -> Path:
-        p = Path(str(p))
-        return p if p.is_absolute() else base / p
+    sections: dict = {"": raw}
+    for dotted, _ in _SCHEMA.values():
+        name = dotted.rpartition(".")[0]
+        if name not in sections:
+            body = raw.get(name)
+            if body is not None and not isinstance(body, dict):
+                raise ValueError(f"{path}: {name!r} must be a mapping, got {type(body).__name__}")
+            sections[name] = body or {}
+    listed = {dotted for dotted, _ in _SCHEMA.values()} | set(sections) - {""}
+    found = [f"{name}.{key}".removeprefix(".") for name, body in sections.items() for key in body]
+    unknown = [dotted for dotted in found if dotted not in listed]
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
 
-    articles_raw = _require(raw, "articles", str(path))
-    if not isinstance(articles_raw, dict) or not articles_raw:
-        raise ValueError(f"{path}: 'articles' must map outlet names to file paths")
-    articles = {str(k): resolve(v) for k, v in articles_raw.items()}
-
-    entities_raw = _require(raw, "entities", str(path))
-    if not isinstance(entities_raw, list) or len(entities_raw) != 2:
-        raise ValueError(f"{path}: 'entities' must list exactly two entries")
-    entities = []
-    for ent in entities_raw:
-        if not isinstance(ent, dict) or "label" not in ent or "aliases" not in ent:
-            raise ValueError(f"{path}: each entity needs 'label' and 'aliases'")
-        aliases = [ent["aliases"]] if isinstance(ent["aliases"], str) else ent["aliases"]
-        if not isinstance(aliases, list):
-            raise ValueError(f"{path}: entity 'aliases' must be a string or a list")
-        try:
-            entities.append(EntitySpec(str(ent["label"]), tuple(str(a) for a in aliases)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-    def section(key: str) -> dict:
-        value = raw.get(key)
-        if value is not None and not isinstance(value, dict):
-            raise ValueError(f"{path}: {key!r} must be a mapping, got {type(value).__name__}")
-        return value or {}
-
-    sections = {key: section(key) for key in ("topics", "analysis", "bootstrap", "sentiment")}
-    sections[None] = raw
-    senti = sections["sentiment"]
-
-    def opt_path(section: dict, key: str) -> Path | None:
-        v = section.get(key)
-        return resolve(v) if v is not None else None
-
-    polls = resolve(_require(raw, "polls", str(path)))
-    _require(raw, "seed", str(path))
     settings = {}
-    for field, (name, key, cast) in _SETTINGS.items():
-        if key in sections[name]:
+    for field, (dotted, parse) in _SCHEMA.items():
+        name, _, key = dotted.rpartition(".")
+        value = sections[name].get(key)
+        if value is None:
+            value = PipelineConfig.__dataclass_fields__[field].default
+            if value is MISSING:
+                raise ValueError(f"{path}: missing required key {dotted!r}")
+        else:
             try:
-                settings[field] = cast(sections[name][key])
+                value = parse(value)
+            except _EntryError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: bad value for {_file_key(field)}: {exc}") from exc
+                raise ValueError(f"{path}: bad value for {dotted}: {exc}") from exc
+        if isinstance(value, Path):
+            value = path.parent / value
+        elif parse is _articles:
+            value = {outlet: path.parent / p for outlet, p in value.items()}
+        settings[field] = value
     overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
     try:
-        cfg = PipelineConfig(**{
-            "articles": articles,
-            "polls": polls,
-            "entities": tuple(entities),
-            "out_dir": resolve(raw.get("output", "out")),
-            "stopwords": opt_path(raw, "stopwords"),
-            "lexicon": opt_path(senti, "lexicon"),
-            "negators": opt_path(senti, "negators"),
-            "intensifiers": opt_path(senti, "intensifiers"),
-            "diminishers": opt_path(senti, "diminishers"),
-            "labels": opt_path(senti, "labels"),
-            **settings,
-            **overridden,
-        })
+        cfg = PipelineConfig(**{**settings, **overridden})
     except _RangeError as exc:
-        name = exc.field if exc.field in overridden else _file_key(exc.field)
+        name = exc.field if exc.field in overridden else _SCHEMA[exc.field][0]
         raise ValueError(f"{path}: {name} {exc.problem}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {str(exc).removeprefix('config: ')}") from None
 
+    inputs = [getattr(cfg, field) for field, (_, parse) in _SCHEMA.items() if parse is _file]
     missing = [
-        str(p)
-        for p in [cfg.polls, *cfg.articles.values(), cfg.stopwords, cfg.lexicon,
-                  cfg.negators, cfg.intensifiers, cfg.diminishers, cfg.labels]
-        if p is not None and not Path(p).is_file()
+        str(p) for p in [*cfg.articles.values(), *inputs] if p is not None and not Path(p).is_file()
     ]
     if missing:
         raise ValueError(f"{path}: referenced files not found: {', '.join(missing)}")

@@ -134,6 +134,8 @@ class EntitySpec:
         if not self.aliases:
             raise ValueError(f"entity {self.label!r} needs at least one alias")
         object.__setattr__(self, "aliases", tuple(self.aliases))
+        if not self.label.strip():
+            raise ValueError(f"entity label {self.label!r} is blank")
         if any(not a.strip() for a in self.aliases):
             raise ValueError(f"entity {self.label!r} has a blank alias")
         # Each alias comes first and then looks behind its own length for a

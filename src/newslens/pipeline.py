@@ -270,7 +270,7 @@ def stage_ingest(state: RunState) -> None:
     # topic and sentiment stages spend their time.
     if cfg.max_lag >= len(state.spread) / 2:
         raise ValueError(
-            f"analysis.max_lag {cfg.max_lag} too large for a poll spread of "
+            f"max_lag {cfg.max_lag} too large for a poll spread of "
             f"{len(state.spread)} days; it must be below half of it"
         )
     if cfg.stopwords is not None:
@@ -368,14 +368,18 @@ def stage_correlate(state: RunState) -> None:
 
 @_stage("causality")
 def stage_causality(state: RunState) -> None:
-    cfg = state.config
-    for outlet in sorted(state.articles):
-        res = state.outlets[outlet]
-        if res.coverage is None:
-            continue
-        results = granger_scan(state.spread, list(res.coverage.topics), cfg.max_lag)
-        # topic field from the scan indexes the kept list; map it back to ids
-        res.granger = [replace(g, topic=res.coverage.topic_ids[g.topic]) for g in results]
+    # One scan over every outlet's kept topics, so the shared spread is
+    # differenced and unit-root checked once; a result's topic field indexes
+    # that list and is mapped back to the outlet's topic id.
+    kept = [
+        (res, topic_id, s)
+        for res in (state.outlets[outlet] for outlet in sorted(state.articles))
+        if res.coverage is not None
+        for topic_id, s in zip(res.coverage.topic_ids, res.coverage.topics)
+    ]
+    for g in granger_scan(state.spread, [s for _, _, s in kept], state.config.max_lag):
+        res, topic_id, _ = kept[g.topic]
+        res.granger.append(replace(g, topic=topic_id))
 
 
 def run_pipeline(config: PipelineConfig, through: str = "causality") -> ReportBundle:

@@ -8,9 +8,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-__all__ = ["DatedSeries", "sliding_mean", "pooled_window_mean", "align", "align_lagged"]
-
-_DAY = timedelta(days=1)
+__all__ = ["DatedSeries", "sliding_mean", "pooled_window_mean"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class DatedSeries:
     @property
     def end(self) -> date:
         """Date of the last sample (inclusive)."""
-        return self.start + (len(self) - 1) * _DAY
+        return self.start + timedelta(days=len(self) - 1)
 
     def with_values(self, values: np.ndarray, label: str | None = None) -> "DatedSeries":
         """Same span, new values (used by transforms that preserve dates)."""
@@ -102,22 +100,3 @@ def pooled_window_mean(
             prev = sums[lo : i + 1].sum() / c
         values[i] = prev
     return DatedSeries(first, values, label=label)
-
-def align(x: DatedSeries, y: DatedSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Value arrays of both series restricted to their common dates."""
-    start = max(x.start, y.start)
-    end = min(x.end, y.end)
-    if start > end:
-        return np.empty(0), np.empty(0)
-    xi = (start - x.start).days
-    yi = (start - y.start).days
-    k = (end - start).days + 1
-    return x.values[xi : xi + k], y.values[yi : yi + k]
-
-
-def align_lagged(x: DatedSeries, y: DatedSeries, lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (x(t), y(t + lag)) for every date t where both sides exist."""
-    if lag < 0:
-        raise ValueError(f"lag must be >= 0, got {lag}")
-    shifted = DatedSeries(y.start - lag * _DAY, y.values, y.label)
-    return align(x, shifted)

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 import numpy as np
 from scipy import special
 
-from .series import DatedSeries, align_lagged
+from .series import DatedSeries
 
 __all__ = [
     "linear_detrend",
@@ -55,6 +55,14 @@ def first_difference(series: DatedSeries) -> DatedSeries:
         np.diff(series.values),
         label=series.label,
     )
+
+
+def _lag_overlap(x: DatedSeries, y: DatedSeries, lag: int) -> tuple[slice, slice]:
+    """Index ranges of x and y pairing x(t) with y(t + lag) wherever both exist."""
+    offset = (y.start - x.start).days - lag  # x's index for y's first value
+    lo = max(0, offset)
+    hi = max(lo, min(len(x), len(y) + offset))
+    return slice(lo, hi), slice(lo - offset, hi - offset)
 
 
 # --- rank correlation -----------------------------------------------------
@@ -161,13 +169,14 @@ def lagged_correlation_scan(
         xds = [linear_detrend(xs[i]) for i in members]
         rng = np.random.default_rng(seed)
         for lag in range(max_lag + 1):
-            pairs = [align_lagged(xd, yd, lag) for xd in xds]
-            n = pairs[0][0].size
+            xi, yi = _lag_overlap(xds[0], yd, lag)
+            yv = yd.values[yi]
+            n = yv.size
             if n < 10:
                 log.warning("lag %d skipped: only %d overlapping days", lag, n)
                 continue
-            ry = _midranks(pairs[0][1])
-            rxs = [_midranks(xv) for xv, _ in pairs]
+            ry = _midranks(yv)
+            rxs = [_midranks(xd.values[xi]) for xd in xds]
             rhos = []
             for i, rx in zip(members, rxs):
                 try:
@@ -356,10 +365,13 @@ def granger_beta(
 
     Inputs are expected to be differenced series.  The p-value is
     two-sided from the t-distribution with n - 2 degrees of freedom.
-    Fewer than 20 overlapping days or a constant regressor raise
-    ValueError.
+    A negative lag, fewer than 20 overlapping days or a constant
+    regressor raise ValueError.
     """
-    xv, yv = align_lagged(dx, dy, lag)
+    if lag < 0:
+        raise ValueError(f"lag must be >= 0, got {lag}")
+    xi, yi = _lag_overlap(dx, dy, lag)
+    xv, yv = dx.values[xi], dy.values[yi]
     n = xv.size
     if n < 20:
         raise ValueError(f"only {n} overlapping days at lag {lag}; need >= 20")

@@ -45,6 +45,46 @@ class TestLoadConfig:
         assert cfg.articles["outlet_one"] == tmp_path / "articles.jsonl"
         assert cfg.out_dir == tmp_path / "out"
 
+    def test_null_output_means_default(self, tmp_path):
+        mapping = base_mapping(tmp_path)
+        mapping["output"] = None
+        assert load_config(write_yaml(tmp_path, mapping)).out_dir == tmp_path / "out"
+
+    @pytest.mark.parametrize(
+        "section, key, dotted",
+        [
+            ("analysis", "permutation", "analysis.permutation"),
+            ("analysis", "max_lags", "analysis.max_lags"),
+            ("anlysis", "max_lag", "anlysis"),
+            (None, "windw_days", "windw_days"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, section, key, dotted):
+        mapping = base_mapping(tmp_path)
+        if section is None:
+            mapping[key] = 3
+        else:
+            mapping[section] = {key: 3}
+        p = write_yaml(tmp_path, mapping)
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p)
+        assert str(exc_info.value) == f"{p}: unknown config keys {dotted}"
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        text = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        mapping = yaml.safe_load(text)
+        files = [*mapping["articles"].values(), mapping["polls"], mapping["stopwords"]]
+        files += [v for v in mapping["sentiment"].values() if isinstance(v, str)]
+        for name in files:
+            (tmp_path / name).write_text("", encoding="utf-8")
+        p = tmp_path / "config.yaml"
+        p.write_text(text, encoding="utf-8")
+        cfg = load_config(p)
+        assert cfg.seed == 11
+        assert cfg.labels == tmp_path / "labels.csv"
+
     def test_json_accepted(self, tmp_path):
         p = tmp_path / "config.json"
         p.write_text(json.dumps(base_mapping(tmp_path)), encoding="utf-8")
@@ -304,12 +344,21 @@ class TestPipelineConfigValidation:
             ("lexicon", "a custom lexicon needs all four files"),
             ("empty_label", "entity label must be non-empty"),
             ("blank_alias", "entity 'Briggs' has a blank alias"),
+            ("blank_label", "entity label '  ' is blank"),
+            ("null_label", "entity labels and aliases must be strings"),
+            ("null_alias", "entity labels and aliases must be strings"),
         ],
     )
     def test_config_error_names_file(self, tmp_path, edit, problem):
         mapping = base_mapping(tmp_path)
         if edit == "empty_label":
             mapping["entities"][0]["label"] = ""
+        elif edit == "blank_label":
+            mapping["entities"][0]["label"] = "  "
+        elif edit == "null_label":
+            mapping["entities"][0]["label"] = None
+        elif edit == "null_alias":
+            mapping["entities"][0]["aliases"] = ["Arden", None]
         elif edit == "blank_alias":
             mapping["entities"][1]["aliases"] = ["Briggs", " "]
         elif edit == "articles":

@@ -1,20 +1,24 @@
 import dataclasses
 import json
+import logging
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 import newslens.corpus as corpus
 import newslens.pipeline as pipeline
 import newslens.sentiment as sentiment
 import newslens.vectorize as vectorize
 from newslens.config import load_config
+from newslens.fixture import generate_fixture
 from newslens.pipeline import (
     STAGES,
     PipelineError,
     run_pipeline,
+    stage_causality,
     stage_ingest,
     stage_topics,
     RunState,
@@ -221,8 +225,8 @@ class TestStageErrors:
         with pytest.raises(PipelineError, match="ingest") as exc_info:
             run_pipeline(cfg)
         assert exc_info.value.stage == "ingest"
-        assert f"analysis.max_lag {half} too large for a poll spread of {n} days" in str(
-            exc_info.value
+        assert str(exc_info.value.cause) == (
+            f"max_lag {half} too large for a poll spread of {n} days; it must be below half of it"
         )
 
     def test_stage_prefix_composes(self, tmp_path):
@@ -424,3 +428,20 @@ class TestEmitOutputs:
             emit_outputs(run_bundle, out)
         assert not (out / "report.json").exists()
         assert not list((out / "series").glob("*.csv"))
+
+
+def test_causality_checks_the_spread_once_for_all_outlets(tmp_path, caplog):
+    config = generate_fixture(tmp_path, 11)["config"]
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    raw["articles"] = {f"outlet{k}": "articles.jsonl" for k in range(3)}
+    raw["window_days"] = 7
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    state = run_pipeline(load_config(config), through="topics").state
+    with caplog.at_level(logging.WARNING, logger="newslens.tsstats"):
+        stage_causality(state)
+    warned = [r for r in caplog.records if "non-stationary" in r.getMessage()]
+    assert len(warned) == 1
+    cells = [(g.topic, g.lag) for g in state.outlets["outlet0"].granger]
+    assert cells and all(
+        [(g.topic, g.lag) for g in res.granger] == cells for res in state.outlets.values()
+    )

@@ -3,7 +3,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from newslens.series import DatedSeries, align, align_lagged, pooled_window_mean, sliding_mean
+from newslens.series import DatedSeries, pooled_window_mean, sliding_mean
+from newslens.tsstats import _lag_overlap, granger_beta
 
 START = date(2021, 3, 1)
 
@@ -124,36 +125,41 @@ class TestPooledWindowMean:
             pooled_window_mean([], 3)
 
 
+def lag_pairs(x, y, lag):
+    xi, yi = _lag_overlap(x, y, lag)
+    return list(x.values[xi]), list(y.values[yi])
+
+
 class TestAlign:
     def test_overlap(self):
         x = DatedSeries(date(2021, 3, 1), [1, 2, 3, 4])
         y = DatedSeries(date(2021, 3, 3), [30, 40, 50])
-        xv, yv = align(x, y)
-        assert list(xv) == [3, 4]
-        assert list(yv) == [30, 40]
+        assert lag_pairs(x, y, 0) == ([3, 4], [30, 40])
 
     def test_disjoint(self):
         x = DatedSeries(date(2021, 3, 1), [1])
         y = DatedSeries(date(2021, 4, 1), [2])
-        xv, yv = align(x, y)
-        assert xv.size == 0 and yv.size == 0
+        assert lag_pairs(x, y, 0) == ([], [])
+        assert lag_pairs(y, x, 0) == ([], [])
+        assert lag_pairs(x, y, 40) == ([], [])
+        # x ends before y starts, with y longer than the gap
+        x = DatedSeries(date(2021, 3, 1), np.arange(5.0))
+        y = DatedSeries(date(2021, 3, 8), np.arange(10.0))
+        assert lag_pairs(x, y, 0) == ([], [])
 
     def test_lagged_pairs(self):
         x = DatedSeries(date(2021, 3, 1), [1, 2, 3, 4, 5])
         y = DatedSeries(date(2021, 3, 1), [10, 20, 30, 40, 50])
-        xv, yv = align_lagged(x, y, 2)
         # pairs (x(t), y(t+2))
-        assert list(xv) == [1, 2, 3]
-        assert list(yv) == [30, 40, 50]
+        assert lag_pairs(x, y, 2) == ([1, 2, 3], [30, 40, 50])
 
     def test_lag_zero_matches_align(self):
+        # At lag 0 the pairs are the two series on their common dates.
         x = DatedSeries(date(2021, 3, 1), [1, 2, 3])
         y = DatedSeries(date(2021, 3, 2), [5, 6, 7])
-        a = align(x, y)
-        b = align_lagged(x, y, 0)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert lag_pairs(x, y, 0) == ([2, 3], [5, 6])
 
     def test_negative_lag_rejected(self):
-        x = DatedSeries(date(2021, 3, 1), [1, 2])
-        with pytest.raises(ValueError):
-            align_lagged(x, x, -1)
+        x = DatedSeries(date(2021, 3, 1), np.arange(30.0))
+        with pytest.raises(ValueError, match="lag must be >= 0"):
+            granger_beta(x, x, -1)

@@ -204,7 +204,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     found = [f"{name}.{key}".removeprefix(".") for name, body in sections.items() for key in body]
     unknown = [dotted for dotted in found if dotted not in listed]
     if unknown:
-        raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config keys {', '.join(map(repr, unknown))}")
 
     settings = {}
     for field, (dotted, parse) in _SCHEMA.items():

@@ -296,7 +296,7 @@ def stage_topics(state: RunState) -> None:
     cfg = state.config
     for outlet, arts in sorted(state.articles.items()):
         matrix = tfidf_matrix(arts, state.stopwords, cfg.min_df)
-        factors = nmf_factorize(matrix, cfg.n_topics, seed=cfg.seed)
+        factors = nmf_factorize(matrix, cfg.n_topics)
         coverage = topic_weight_series(
             factors,
             arts,

@@ -22,7 +22,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import _TOKEN_RE, Article, EntitySpec, named_entities, tokenize
+from .corpus import _lowered_tokens, Article, EntitySpec, named_entities, tokenize
 from .series import DatedSeries, pooled_window_mean, sliding_mean
 from .vectorize import load_stopwords
 
@@ -256,7 +256,7 @@ def mention_records(
             given = None if labels is None else labels.get((art.id, idx))
             if len(named) == 1:
                 missing += given is None
-                cls = given or _score_tokens(_TOKEN_RE.findall(text.lower()), lexicon)
+                cls = given or _score_tokens(_lowered_tokens(text.lower()), lexicon)
                 records.append(MentionRecord(art.id, art.date, named[0].label, sent, cls))
                 continue
             for entity, clause in _attribute(sent, named):

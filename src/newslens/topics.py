@@ -1,10 +1,10 @@
 """Topic decomposition and daily topic coverage.
 
 Factorizes the document-term matrix M (docs x terms) as H @ W with
-non-negative factors, by hierarchical alternating least squares: H holds
-per-document topic loadings, W holds per-topic term weights.  Coverage
-turns the loadings into one daily series per topic, weighted by document
-length.
+non-negative factors, by extrapolated hierarchical alternating least
+squares from a deterministic NNDSVD start: H holds per-document topic
+loadings, W holds per-topic term weights.  Coverage turns the loadings
+into one daily series per topic, weighted by document length.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ __all__ = [
 # Ulps of ||X||^2 that the expanded-form squared error may be off by.
 _ROUNDING_ULPS = 16
 
+# Cells per dense block when the residual is summed directly.
+_BLOCK_CELLS = 1 << 16
+
+# Extrapolation constants of Ang & Gillis (2019): beta shrinks by _ETA on a
+# discarded iterate; on an accepted one beta grows by _GAMMA and its cap by
+# _GAMMA_BAR.
+_ETA, _GAMMA, _GAMMA_BAR = 1.5, 1.05, 1.01
+
 NORMALIZATION_MODES = ("per_day_share", "per_topic_area", "none")
 
 
@@ -37,11 +45,12 @@ NORMALIZATION_MODES = ("per_day_share", "per_topic_area", "none")
 class NmfFactors:
     """Result of a non-negative factorization M ~ H @ W.
 
-    W rows are L2-normalized, with the scale folded into H columns.
+    W rows are L2-normalized, with the scale folded into H columns.  The
+    fit is deterministic: the same matrix gives the same factors.
     ``errors`` holds the Frobenius reconstruction error of the scaled
-    start and after every full iteration (one sweep over the rows of W,
-    then one over the columns of H); ``doc_ids`` aligns H rows with the
-    articles behind them, and ``doc_lengths``, when the input was a
+    NNDSVD start and of the pair kept by every iteration, an extrapolated
+    pair or, when that was discarded, a plain HALS step; it never rises.
+    ``doc_ids`` aligns H rows with the articles behind them, and ``doc_lengths``, when the input was a
     ``DocTermMatrix``, with those articles' token counts.  ``converged``
     is true when the fit stopped on its tolerance, false when it ran
     into the iteration cap.
@@ -60,22 +69,29 @@ class NmfFactors:
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
+    """The input as a float CSR matrix in canonical form: sorted indices,
+    duplicate entries summed (on a copy; the input is left as it is)."""
     if isinstance(matrix, DocTermMatrix):
-        return matrix.matrix.tocsr()
-    if sp.issparse(matrix):
-        return matrix.tocsr().astype(float)
-    return sp.csr_matrix(np.asarray(matrix, dtype=float))
+        x = matrix.matrix.tocsr()
+    elif sp.issparse(matrix):
+        x = matrix.tocsr().astype(float)
+    else:
+        x = sp.csr_matrix(np.asarray(matrix, dtype=float))
+    if not x.has_canonical_format:
+        x = x.copy()
+        x.sum_duplicates()
+    return x
 
 
 def nmf_factorize(
     matrix,
     n_topics: int,
-    seed: int,
     tol: float = 1e-5,
     max_iter: int = 500,
 ) -> NmfFactors:
-    """NMF by hierarchical alternating least squares, minimizing the
-    Frobenius error.
+    """NMF by extrapolated hierarchical alternating least squares from an
+    NNDSVD start, minimizing the Frobenius error.  The fit is
+    deterministic: it draws no random numbers.
 
     Parameters
     ----------
@@ -83,43 +99,75 @@ def nmf_factorize(
         Non-negative input, docs in rows.
     n_topics : int
         Factorization rank; must satisfy 1 <= n_topics <= min(docs, terms).
-    seed : int
-        Seeds the uniform (0, 1] initialization of both factors.
     tol : float
         Stop once the relative error improvement per iteration falls
         to this or below.
     max_iter : int
         Hard iteration cap.
 
-    Both factors start from uniform (0, 1] draws, scaled by
-    sqrt(<X, H @ W> / ||H @ W||^2) so that H @ W is the best multiple of
-    itself; an unscaled start overshoots and the first sweep zeroes most
-    topics.  Each iteration (Cichocki & Phan 2009) then minimizes the
-    error exactly over one topic at a time, first every row of W, then
-    every column of H:
+    Start (NNDSVD, Boutsidis & Gallopoulos 2008).  The k = n_topics
+    leading singular triplets (s_j, u_j, v_j) of X come from ``eigh`` of
+    X' @ X when terms^2 <= nnz(X) or k = terms, from ``eigh`` of X @ X'
+    when k = docs < terms, and otherwise from ``scipy.sparse.linalg.svds``
+    started from a vector of ones.  A component with s_j^2 at most
+    max(docs, terms) * eps * s_1^2, or any component of X = 0, is null
+    and contributes nothing.  Each other component, with u_j and v_j of
+    unit norm, keeps the larger of its positive and negative parts:
+    with p = ||u_j+|| ||v_j+|| and n = ||u_j-|| ||v_j-||, the parts
+    (a, b) are (u_j+, v_j+) when p > n, (u_j-, v_j-) when n > p, and
+    (|u_j|, |v_j|) on an exact tie; topic j then starts as
+    sqrt(s_j ||a|| ||b||) * a / ||a|| in H and the same times b / ||b||
+    in W.  Flipping the sign of a singular pair swaps p and n, so the
+    start does not depend on it.  Zero entries, a null component's among
+    them, are set to mean(X.data) / 100 so that every entry can move, and
+    both factors are scaled by sqrt(<X, H @ W> / ||H @ W||^2) so that
+    H @ W is the best multiple of itself.
+
+    Sweeps (Cichocki & Phan 2009).  A sweep minimizes the error exactly
+    over one topic at a time, every row of W against a fixed H or every
+    column of H against a fixed W:
 
         W[j] <- max(0, W[j] + (HtX[j] - HtH[j] @ W) / HtH[j, j])
         H[:, j] <- max(0, H[:, j] + (XWt[:, j] - H @ WWt[:, j]) / WWt[j, j])
 
-    with HtX = H' @ X and HtH = H' @ H fixed during the W sweep, XWt =
-    X @ W' and WWt = W @ W' during the H sweep.  A topic whose Gram
-    diagonal is zero has nothing to fit and is left as it is.  No sweep
-    increases the reconstruction error.  After convergence W rows are
-    L2-normalized and the scale folded into H, leaving H @ W unchanged.
+    with HtX = H' @ X, HtH = H' @ H, XWt = X @ W' and WWt = W @ W'.  A
+    topic whose Gram diagonal is zero has nothing to fit and is left as
+    it is.  No sweep increases the reconstruction error.
 
-    The error is checked after every iteration from the products the
-    sweeps need anyway:
+    Extrapolation (Ang & Gillis 2019; their eta = 1.5, gamma = 1.05 and
+    gamma_bar = 1.01, with beta = 0.5 and beta_bar = 1 at the start).
+    From the accepted pair (W, H), the H accepted before it, H_old, and
+    the last swept W, W_raw, an iteration forms
+
+        Hy = max(0, H + beta * (H - H_old)),    W_new = W swept against Hy,
+        Wy = max(0, W_new + beta * (W_new - W_raw)),    H_new = H swept against Wy.
+
+    If the error of (Wy, H_new) is at most the accepted pair's, that pair
+    is accepted, beta becomes min(beta_bar, gamma * beta) and beta_bar
+    min(1, gamma_bar * beta_bar).  Otherwise it is discarded and a plain
+    iteration runs from the accepted pair (W swept against H, then H
+    against the new W); beta_bar becomes beta, beta becomes beta / eta,
+    and H_old and W_raw restart from the new pair.  Each iteration records
+    one error, so ``errors`` never rises.  After the last iteration W
+    rows are L2-normalized and the scale folded into H, leaving H @ W
+    unchanged.
+
+    Error and stop.  The error of each pair is computed from the products
+    the sweeps need anyway:
 
         ||X - H @ W||^2 = ||X||^2 - 2 <XWt, H> + <HtH, WWt>,
 
-    with ||X||^2 computed once from the stored entries.  X is never made
-    dense and no docs x terms array is allocated.  Rounding can leave the
-    difference slightly negative near an exact fit, so it is clamped at
-    zero.  The difference carries rounding of a few ulps of ||X||^2, so
-    its square root carries about eps * ||X||^2 / error; an improvement
-    of at most max(tol * prev, 16 * eps * ||X||^2 / prev), with prev the
-    previous error and eps the float64 machine epsilon, counts as none
-    and stops the fit.
+    with ||X||^2 computed once from the stored entries.  The difference
+    carries rounding of a few ulps of ||X||^2, so its square root carries
+    about eps * ||X||^2 / error.  Near an exact fit, where the difference
+    is at most sqrt(eps) * ||X||^2, that rounding exceeds 16 * sqrt(eps)
+    of it and could decide whether an extrapolated pair is kept, so the
+    squared residual is summed entry by entry instead, over blocks of
+    about 65,536 cells.  X is never made dense as a whole and no docs x
+    terms array is allocated.  An improvement of at most
+    max(tol * prev, 16 * eps * ||X||^2 / prev), with prev the previous
+    error and eps the float64 machine epsilon, counts as none and stops
+    the fit.
     """
     x = _as_csr(matrix)
     d, t = x.shape
@@ -134,37 +182,61 @@ def nmf_factorize(
     if x.nnz and x.data.min() < 0:
         raise ValueError("input matrix must be non-negative")
 
-    x_sq = float(x.multiply(x).sum())  # sums any duplicate entries first
+    x_sq = float(np.einsum("i,i->", x.data, x.data))
     floor = _ROUNDING_ULPS * np.finfo(float).eps * x_sq
+    near_exact = np.sqrt(np.finfo(float).eps) * x_sq
+    row = np.empty(max(d, t))  # work row of the sweeps
 
-    def error(cross: float, gram: float) -> float:
-        return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
+    def error(gap: float, ht: np.ndarray, w: np.ndarray) -> float:
+        if gap <= near_exact:
+            gap = _residual_sq(x, ht, w)
+        return float(np.sqrt(max(gap, 0.0)))
 
-    rng = np.random.default_rng(seed)
-    # 1 - random() lies in (0, 1]: strictly positive starting factors.
-    h = 1.0 - rng.random((d, n_topics))
-    w = 1.0 - rng.random((n_topics, t))
+    def fit_h(ht: np.ndarray, w: np.ndarray) -> float:
+        """Sweep ht against w in place; return the new pair's error."""
+        wwt = w @ w.T
+        xwt = np.asarray(x @ w.T)
+        _sweep(ht, wwt, xwt.T, row[:d])
+        gap = x_sq - 2.0 * float(np.trace(ht @ xwt)) + float(np.vdot(ht @ ht.T, wwt))
+        return error(gap, ht, w)
 
+    # H is held transposed, k x docs, so that each topic's loadings are one
+    # contiguous row.  Two buffers of each shape hold the accepted factor and
+    # a spare: at the top of an iteration the spares hold H_old and W_raw,
+    # which are overwritten by Hy and Wy, and H's spare then by H_new.
+    ht, w = _nndsvd_start(x, n_topics)
     # Scaling both factors by s scales <X, HW> by s^2 and ||HW||^2 by s^4.
-    cross = float(np.sum(np.asarray(x @ w.T) * h))
-    gram = float(np.sum((h.T @ h) * (w @ w.T)))
-    ratio = cross / gram
-    h *= np.sqrt(ratio)
+    cross = float(np.trace(ht @ np.asarray(x @ w.T)))
+    gram = float(np.vdot(ht @ ht.T, w @ w.T))
+    ratio = cross / gram if gram > 0.0 else 0.0
+    ht *= np.sqrt(ratio)
     w *= np.sqrt(ratio)
-    errors = [error(ratio * cross, ratio * ratio * gram)]
-    hth = h.T @ h
+    errors = [error(x_sq - 2.0 * ratio * cross + ratio * ratio * gram, ht, w)]
+    ht_spare, w_spare, w_new = ht.copy(), w.copy(), np.empty_like(w)
+    beta, beta_bar = 0.5, 1.0
     iterations = 0
     converged = False
     for it in range(1, max_iter + 1):
-        _sweep(w, hth, np.asarray(h.T @ x))
-        xwt = np.asarray(x @ w.T)
-        wwt = w @ w.T
-        _sweep(h.T, wwt, xwt.T)
-        hth = h.T @ h
-        err = error(float(np.sum(xwt * h)), float(np.sum(hth * wwt)))
+        prev = errors[-1]
+        hty = _extrapolate(ht, ht_spare, beta)
+        np.copyto(w_new, w)
+        _sweep(w_new, hty @ hty.T, np.asarray(hty @ x), row[:t])
+        wy = _extrapolate(w_new, w_spare, beta)
+        ht_new = ht_spare
+        np.copyto(ht_new, ht)
+        err = fit_h(ht_new, wy)
+        if err <= prev:
+            ht, ht_spare = ht_new, ht
+            w, w_spare, w_new = wy, w_new, w
+            beta, beta_bar = min(beta_bar, _GAMMA * beta), min(1.0, _GAMMA_BAR * beta_bar)
+        else:
+            _sweep(w, ht @ ht.T, np.asarray(ht @ x), row[:t])
+            err = fit_h(ht, w)
+            np.copyto(ht_spare, ht)
+            np.copyto(w_spare, w)
+            beta, beta_bar = beta / _ETA, beta
         if not np.isfinite(err):
             raise ValueError(f"reconstruction error diverged at iteration {it}")
-        prev = errors[-1]
         errors.append(err)
         iterations = it
         if prev == 0.0 or prev - err <= max(tol * prev, floor / prev):
@@ -174,7 +246,8 @@ def nmf_factorize(
     norms = np.sqrt(np.sum(w * w, axis=1))
     norms[norms == 0.0] = 1.0
     w /= norms[:, None]
-    h *= norms[None, :]
+    ht *= norms[:, None]
+    h = ht.T
 
     if isinstance(matrix, DocTermMatrix):
         doc_ids, vocab, doc_lengths = matrix.doc_ids, matrix.vocab, matrix.doc_lengths
@@ -198,18 +271,102 @@ def nmf_factorize(
     )
 
 
-def _sweep(factor: np.ndarray, gram: np.ndarray, rhs: np.ndarray) -> None:
+def _residual_sq(x: sp.csr_matrix, ht: np.ndarray, w: np.ndarray) -> float:
+    """||X - H @ W||^2 summed entry by entry, over blocks of whole rows."""
+    d, t = x.shape
+    rows = max(1, _BLOCK_CELLS // t)
+    total = 0.0
+    for lo in range(0, d, rows):
+        block = x[lo : lo + rows].toarray()
+        block -= ht[:, lo : lo + rows].T @ w
+        total += float(np.vdot(block, block))
+    return total
+
+
+def _extrapolate(cur: np.ndarray, old: np.ndarray, beta: float) -> np.ndarray:
+    """max(0, cur + beta * (cur - old)), written over ``old``."""
+    np.subtract(cur, old, out=old)
+    old *= beta
+    old += cur
+    return np.maximum(old, 0.0, out=old)
+
+
+def _sweep(factor: np.ndarray, gram: np.ndarray, rhs: np.ndarray, scratch: np.ndarray) -> None:
     """One HALS pass over the rows of ``factor`` (k x n), in place.
 
     With the other factor A fixed, ``gram`` = A' @ A and ``rhs`` = A' @ X.
     Row j becomes the non-negative minimizer of ||X - A @ factor||^2 over
     that row alone, the other rows as they stand: rows already swept count
-    with their new values.
+    with their new values.  ``scratch`` is a length-n work row.
     """
     for j in range(factor.shape[0]):
-        if gram[j, j] > 0.0:
-            step = (rhs[j] - gram[j] @ factor) / gram[j, j]
-            factor[j] = np.maximum(factor[j] + step, 0.0)
+        g = gram[j, j]
+        if g > 0.0:
+            np.dot(gram[j], factor, out=scratch)
+            np.subtract(rhs[j], scratch, out=scratch)
+            scratch /= g
+            scratch += factor[j]
+            np.maximum(scratch, 0.0, out=factor[j])
+
+
+def _nndsvd_start(x: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The NNDSVD start that ``nmf_factorize`` describes, before scaling:
+    H transposed (k x docs) and W (k x terms)."""
+    d, t = x.shape
+    u, s, v = _leading_triplets(x, k)
+    ht = np.zeros((k, d))
+    w = np.zeros((k, t))
+    for j in range(k):
+        if s[j] == 0.0:
+            continue
+        uj = u[:, j] / np.linalg.norm(u[:, j])
+        vj = v[:, j] / np.linalg.norm(v[:, j])
+        up, vp = np.maximum(uj, 0.0), np.maximum(vj, 0.0)
+        un, vn = np.maximum(-uj, 0.0), np.maximum(-vj, 0.0)
+        p = np.linalg.norm(up) * np.linalg.norm(vp)
+        n = np.linalg.norm(un) * np.linalg.norm(vn)
+        a, b = (up, vp) if p > n else (un, vn) if n > p else (np.abs(uj), np.abs(vj))
+        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+        scale = np.sqrt(s[j] * norm_a * norm_b)
+        ht[j] = scale * a / norm_a
+        w[j] = scale * b / norm_b
+    fill = x.data.mean() / 100.0 if x.nnz else 0.0
+    ht[ht == 0.0] = fill
+    w[w == 0.0] = fill
+    return ht, w
+
+
+def _leading_triplets(x: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k leading singular values of x, largest first, with their left
+    (docs x k) and right (terms x k) singular vectors up to a positive
+    scale, by the route ``nmf_factorize`` describes.  A null component's
+    singular value is zero and its vectors are not to be read."""
+    d, t = x.shape
+    if not x.data.any():  # X = 0: every component is null
+        return np.zeros((d, k)), np.zeros(k), np.zeros((t, k))
+    if t * t <= x.nnz or k == t:
+        sq, v = _top_eigh((x.T @ x).toarray(), k)
+        u = np.asarray(x @ v)
+    elif k == d:
+        sq, u = _top_eigh((x @ x.T).toarray(), k)
+        v = np.asarray(x.T @ u)
+    else:
+        # Imported here: it costs about half a second, and only matrices
+        # with more than sqrt(nnz) terms come this way.
+        from scipy.sparse.linalg import svds
+
+        u, sv, vt = svds(x, k=k, v0=np.ones(min(d, t)))
+        order = np.argsort(-sv, kind="stable")
+        u, sq, v = u[:, order], sv[order] ** 2, vt[order].T
+    null = sq <= max(d, t) * np.finfo(float).eps * sq[0]
+    return u, np.sqrt(np.where(null, 0.0, sq)), v
+
+
+def _top_eigh(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of a symmetric matrix, largest first,
+    and their eigenvectors as columns."""
+    lam, vec = np.linalg.eigh(gram)
+    return lam[::-1][:k], vec[:, ::-1][:, :k]
 
 
 def top_keywords(factors: NmfFactors, k: int = 10) -> list[list[str]]:

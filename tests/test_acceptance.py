@@ -119,13 +119,13 @@ def test_criterion_02_nmf_monotone_error_and_rank1_recovery():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         x = rng.random((100, 200))
-        factors = nmf_factorize(x, n_topics=8, seed=seed)
+        factors = nmf_factorize(x, n_topics=8)
         e = factors.errors
         assert np.all(e[1:] <= e[:-1] * (1 + 1e-12)), f"error rose at seed {seed}"
 
     rng = np.random.default_rng(7)
     rank1 = np.outer(rng.random(60) + 0.5, rng.random(90) + 0.5)
-    exact = nmf_factorize(rank1, n_topics=1, seed=7, tol=1e-12, max_iter=2000)
+    exact = nmf_factorize(rank1, n_topics=1, tol=1e-12, max_iter=2000)
     assert exact.final_error < 1e-6
     _passed(
         2,
@@ -165,7 +165,7 @@ def test_criterion_03_topic_recovery_on_synthetic_corpus():
         docs, terms = _synthetic_topic_corpus(seed)
         mat = tfidf_matrix(docs, stopwords=frozenset(), min_df=2)
         vocab = mat.vocab
-        factors = nmf_factorize(mat, n_topics=4, seed=seed)
+        factors = nmf_factorize(mat, n_topics=4)
 
         truth = np.zeros((4, factors.W.shape[1]))
         for t in range(4):

@@ -68,7 +68,18 @@ class TestLoadConfig:
         p = write_yaml(tmp_path, mapping)
         with pytest.raises(ValueError) as exc_info:
             load_config(p)
-        assert str(exc_info.value) == f"{p}: unknown config keys {dotted}"
+        assert str(exc_info.value) == f"{p}: unknown config keys {dotted!r}"
+
+    def test_unknown_keys_quoted(self, tmp_path):
+        # An empty key, or one holding the separator, can be read back.
+        mapping = base_mapping(tmp_path)
+        mapping[""] = 3
+        mapping["a, b"] = 4
+        mapping["analysis"] = {"": 5}
+        p = write_yaml(tmp_path, mapping)
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p)
+        assert str(exc_info.value) == f"{p}: unknown config keys '', 'a, b', 'analysis.'"
 
     def test_readme_example_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -6,6 +6,7 @@ each must agree with its rewrite exactly.
 """
 
 import re
+import string
 import unicodedata
 from datetime import date, timedelta
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newslens import corpus
-from newslens.corpus import Article, EntitySpec, split_sentences
+from newslens.corpus import Article, EntitySpec, split_sentences, tokenize
 from newslens.sentiment import SENTIMENT_CLASSES, Lexicon, mention_records
 
 from test_sentiment import reference_mention_counts, reference_mention_records
@@ -95,6 +96,30 @@ class TestAliasFirstPattern:
         assert [m.span() for m in e._pattern.finditer(text)] == [
             m.span() for m in old.finditer(text)
         ] == [(0, 11), (25, 27), (33, 39), (41, 43), (47, 49)]
+
+
+# Printable ASCII, and characters that NFC or lowercasing moves into ASCII
+# (Kelvin sign to K, Greek question mark to ";") or that stay outside it
+# while next to it: dotted capital I (lowercases to i and a combining dot),
+# long s, superscript two, one half and the en quad (NFC: en space).
+_TOKEN_CHARS = string.printable + "\u212a\u037e\u0130\u017f\u00b2\u00bd\u2000"
+
+
+class TestAsciiTokenPath:
+    @settings(max_examples=600)
+    @given(text=st.text(string.printable, max_size=40) | st.text(_TOKEN_CHARS, max_size=40))
+    def test_matches_unicode_pattern(self, text):
+        want = corpus._TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower())
+        assert tokenize(text) == want
+
+    def test_text_ascii_once_lowered_skips_the_unicode_pattern(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_TOKEN_RE", None)
+        # NFC maps the Kelvin sign to "K", so the lowered text is ASCII.
+        assert tokenize("\u212aelvin x2y_z") == ["kelvin"]
+
+    def test_non_ascii_examples(self):
+        # "İ" lowercases to "i" and a combining dot, which splits the run.
+        assert tokenize("\u0130stanbul \u017fun x\u00b2y") == ["stanbul", "\u017fun", "x\u00b2y"]
 
 
 _SENTENCE_CHARS = "aAbBzZİΣÉĳǅ1 .!?\t\n\x1c\x1d\x1e\x1f  "

@@ -50,10 +50,10 @@ class NmfFactors:
     ``errors`` holds the Frobenius reconstruction error of the scaled
     NNDSVD start and of the pair kept by every iteration, an extrapolated
     pair or, when that was discarded, a plain HALS step; it never rises.
-    ``doc_ids`` aligns H rows with the articles behind them, and ``doc_lengths``, when the input was a
-    ``DocTermMatrix``, with those articles' token counts.  ``converged``
-    is true when the fit stopped on its tolerance, false when it ran
-    into the iteration cap.
+    ``doc_ids`` aligns H rows with the articles behind them, and
+    ``doc_lengths``, when the input was a ``DocTermMatrix``, with those
+    articles' token counts.  ``converged`` is true when the fit stopped
+    on its tolerance, false when it ran into the iteration cap.
     """
 
     H: np.ndarray
@@ -201,9 +201,9 @@ def nmf_factorize(
         return error(gap, ht, w)
 
     # H is held transposed, k x docs, so that each topic's loadings are one
-    # contiguous row.  Two buffers of each shape hold the accepted factor and
-    # a spare: at the top of an iteration the spares hold H_old and W_raw,
-    # which are overwritten by Hy and Wy, and H's spare then by H_new.
+    # contiguous row.  Besides the accepted H and W there is one spare of
+    # each, plus W_new: at the top of an iteration the spares hold H_old and
+    # W_raw, which Hy and Wy overwrite; H's spare then takes H_new.
     ht, w = _nndsvd_start(x, n_topics)
     # Scaling both factors by s scales <X, HW> by s^2 and ||HW||^2 by s^4.
     cross = float(np.trace(ht @ np.asarray(x @ w.T)))

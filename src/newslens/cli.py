@@ -16,7 +16,6 @@ Every subcommand exits nonzero on failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .config import PipelineConfig, load_config
 from .fixture import FixtureSpec, generate_fixture
 from .pipeline import PipelineError, RunState, run_pipeline
 from .report import emit_outputs
-from .tsstats import GRANGER_ALPHA
+from .tsstats import GRANGER_ALPHA, MIN_LAG_OVERLAP
 
 
 def _topic_ids(text: str) -> tuple[int, ...]:
@@ -100,16 +99,18 @@ def _print_sentiment(state: RunState) -> None:
 def _print_correlate(state: RunState) -> None:
     for outlet in sorted(state.outlets):
         res = state.outlets[outlet]
-        for label in sorted(res.mention_correlations):
-            best = max(res.mention_correlations[label], key=lambda c: abs(c.rho))
+        scans = [(f"mentions[{k}]", v) for k, v in sorted(res.mention_correlations.items())]
+        scans += [(f"topic {k}", v) for k, v in sorted(res.topic_correlations.items())]
+        for name, cells in scans:
+            if not cells:
+                print(
+                    f"outlet {outlet} {name}: "
+                    f"no lag with at least {MIN_LAG_OVERLAP} overlapping days"
+                )
+                continue
+            best = max(cells, key=lambda c: abs(c.rho))
             print(
-                f"outlet {outlet} mentions[{label}]: "
-                f"max |rho| {best.rho:+.3f} at lag {best.lag} (p={best.p_value:.4f})"
-            )
-        for topic_id in sorted(res.topic_correlations):
-            best = max(res.topic_correlations[topic_id], key=lambda c: abs(c.rho))
-            print(
-                f"outlet {outlet} topic {topic_id}: "
+                f"outlet {outlet} {name}: "
                 f"max |rho| {best.rho:+.3f} at lag {best.lag} (p={best.p_value:.4f})"
             )
 
@@ -157,14 +158,9 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    spec = FixtureSpec()
-    updates = {}
-    for name in ("days", "lag", "beta", "noise_sigma", "n_topics"):
-        val = getattr(args, name)
-        if val is not None:
-            updates[name] = val
-    if updates:
-        spec = dataclasses.replace(spec, **updates)
+    # Each flag whose dest is a FixtureSpec field, when given, sets that field.
+    fields = FixtureSpec.__dataclass_fields__
+    spec = FixtureSpec(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
     paths = generate_fixture(args.out, args.seed, spec)
     for kind in sorted(paths):
         print(f"{kind}: {paths[kind]}")

@@ -136,6 +136,27 @@ def _entities(value) -> tuple[EntitySpec, ...]:
     return tuple(entities)
 
 
+def _integer(value) -> int:
+    """An integer as written; a bool, float or string is not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _integers(value) -> tuple[int, ...]:
+    """A list of integers, each as ``_integer`` takes it."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(_integer(i) for i in value)
+
+
+def _fraction(value) -> float:
+    """A number as written; a bool or string is not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _file(value) -> Path:
     """An input file, which must exist."""
     return Path(value)
@@ -148,21 +169,21 @@ _SCHEMA = {
     "articles": ("articles", _articles),
     "polls": ("polls", _file),
     "entities": ("entities", _entities),
-    "seed": ("seed", int),
+    "seed": ("seed", _integer),
     "out_dir": ("output", Path),
-    "window_days": ("window_days", int),
+    "window_days": ("window_days", _integer),
     "stopwords": ("stopwords", _file),
-    "n_topics": ("topics.count", int),
-    "drop_topics": ("topics.drop", lambda v: tuple(int(i) for i in v)),
+    "n_topics": ("topics.count", _integer),
+    "drop_topics": ("topics.drop", _integers),
     "normalization": ("topics.normalization", str),
-    "min_df": ("topics.min_df", int),
-    "keywords_per_topic": ("topics.keywords", int),
-    "max_lag": ("analysis.max_lag", int),
-    "n_perm": ("analysis.permutations", int),
-    "bootstrap_b": ("bootstrap.samples", int),
-    "bootstrap_gamma": ("bootstrap.level", float),
-    "membership_threshold": ("sentiment.membership_threshold", float),
-    "min_topic_mentions": ("sentiment.min_topic_mentions", int),
+    "min_df": ("topics.min_df", _integer),
+    "keywords_per_topic": ("topics.keywords", _integer),
+    "max_lag": ("analysis.max_lag", _integer),
+    "n_perm": ("analysis.permutations", _integer),
+    "bootstrap_b": ("bootstrap.samples", _integer),
+    "bootstrap_gamma": ("bootstrap.level", _fraction),
+    "membership_threshold": ("sentiment.membership_threshold", _fraction),
+    "min_topic_mentions": ("sentiment.min_topic_mentions", _integer),
     "lexicon": ("sentiment.lexicon", _file),
     "negators": ("sentiment.negators", _file),
     "intensifiers": ("sentiment.intensifiers", _file),

@@ -23,7 +23,7 @@ from datetime import date
 import numpy as np
 
 from .corpus import _lowered_tokens, Article, EntitySpec, named_entities, tokenize
-from .series import DatedSeries, pooled_window_mean, sliding_mean
+from .series import DatedSeries, pooled_window_mean, window_mean
 from .vectorize import load_stopwords
 
 __all__ = [
@@ -265,13 +265,13 @@ def mention_records(
                 records.append(MentionRecord(art.id, art.date, entity.label, clause, cls))
     if labels is not None and missing:
         log.warning("%d mentions had no precomputed label; rule scorer used", missing)
-    counts = {
-        label: np.bincount(np.array(days, dtype=np.intp), minlength=n_days).astype(float)
-        for label, days in hit_days.items()
-    }
+    raw = np.stack(
+        [np.bincount(np.array(days, dtype=np.intp), minlength=n_days) for days in hit_days.values()]
+    )
+    smoothed = window_mean(raw, np.ones(n_days), window_days)
     series = {
-        label: sliding_mean(DatedSeries(first, raw, label=f"mentions_{label}"), window_days)
-        for label, raw in counts.items()
+        label: DatedSeries(first, row, label=f"mentions_{label}")
+        for label, row in zip(hit_days, smoothed)
     }
     return series, records
 

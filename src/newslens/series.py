@@ -8,7 +8,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-__all__ = ["DatedSeries", "sliding_mean", "pooled_window_mean"]
+__all__ = ["DatedSeries", "window_mean", "pooled_window_mean"]
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,32 @@ class DatedSeries:
         return DatedSeries(self.start, values, self.label if label is None else label)
 
 
-def sliding_mean(series: DatedSeries, window_days: int) -> DatedSeries:
-    """Trailing mean over ``window_days`` days, truncated at the span start.
+def window_mean(sums: np.ndarray, counts: np.ndarray, window_days: int) -> np.ndarray:
+    """Trailing-window mean of per-day sums over shared per-day counts.
 
-    Output day d averages the input over [d - window_days + 1, d]
-    intersected with the span, so early days use shorter windows and the
-    result keeps the input's length and dates.
+    ``sums`` holds one series per row, days along its last axis, and
+    ``counts`` one value per day.  Day d divides the sums over
+    [d - window_days + 1, d], truncated at the span start, by the counts
+    over the same days; each window is summed as its own slice.  Days
+    whose window counts nothing carry the previous value forward.
     """
     if window_days < 1:
         raise ValueError(f"window_days must be >= 1, got {window_days}")
-    v = series.values
-    if window_days == 1:
-        return series.with_values(v.copy())
-    n = v.size
-    csum = np.concatenate(([0.0], np.cumsum(v)))
-    idx = np.arange(n)
-    lo = np.maximum(idx - window_days + 1, 0)
-    out = (csum[idx + 1] - csum[lo]) / (idx - lo + 1)
-    return series.with_values(out)
+    sums = np.asarray(sums, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != sums.shape[-1:]:
+        raise ValueError(f"counts shape {counts.shape} does not match sums shape {sums.shape}")
+    # Each window is summed as a slice, not as a difference of running
+    # totals, which rounds worse and would move published values.
+    out = np.empty_like(sums)
+    prev = np.zeros(sums.shape[:-1])
+    for i in range(counts.size):
+        lo = max(0, i - window_days + 1)
+        c = counts[lo : i + 1].sum()
+        if c > 0:
+            prev = sums[..., lo : i + 1].sum(axis=-1) / c
+        out[..., i] = prev
+    return out
 
 
 def pooled_window_mean(
@@ -78,8 +86,6 @@ def pooled_window_mean(
     window holds no value carry the previous day's value forward; the
     series runs from the earliest date to the latest.
     """
-    if window_days < 1:
-        raise ValueError(f"window_days must be >= 1, got {window_days}")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no dated values to pool")
@@ -88,15 +94,5 @@ def pooled_window_mean(
     n = (last - first).days + 1
     days = np.array([(day - first).days for day, _ in pairs])
     sums = np.bincount(days, weights=[value for _, value in pairs], minlength=n)
-    counts = np.bincount(days, minlength=n).astype(float)
-    # Per-window slice sums, not cumsum differences: the latter round
-    # differently and would change published values in the last bits.
-    values = np.empty(n)
-    prev = 0.0
-    for i in range(n):
-        lo = max(0, i - window_days + 1)
-        c = counts[lo : i + 1].sum()
-        if c > 0:
-            prev = sums[lo : i + 1].sum() / c
-        values[i] = prev
+    values = window_mean(sums, np.bincount(days, minlength=n), window_days)
     return DatedSeries(first, values, label=label)

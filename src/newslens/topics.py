@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Article
-from .series import DatedSeries, sliding_mean
+from .series import DatedSeries, window_mean
 from .vectorize import DocTermMatrix, Vocabulary
 
 __all__ = [
@@ -453,9 +453,7 @@ def topic_weight_series(
     raw_series = tuple(
         DatedSeries(first, raw[i], label=f"topic_{i}_raw") for i in kept
     )
-    smoothed = np.stack(
-        [sliding_mean(s, window_days).values for s in raw_series]
-    )
+    smoothed = window_mean(raw[kept], np.ones(n_days), window_days)
 
     if mode == "per_day_share":
         denom = smoothed.sum(axis=0)

@@ -18,6 +18,7 @@ __all__ = [
     "spearman",
     "LagCorrelation",
     "lagged_correlation_scan",
+    "MIN_LAG_OVERLAP",
     "acf_pacf",
     "AdfResult",
     "adf_test",
@@ -31,6 +32,9 @@ log = logging.getLogger(__name__)
 
 # Large-sample critical values for the ADF t-statistic, constant-only case.
 ADF_CRITICAL = {"1%": -3.43, "5%": -2.86, "10%": -2.57}
+
+# Fewest overlapping days a lag correlation is computed from.
+MIN_LAG_OVERLAP = 10
 
 # Level below which a slope-test cell counts as significant.
 GRANGER_ALPHA = 0.01
@@ -136,9 +140,9 @@ def lagged_correlation_scan(
     each lag in 0..max_lag the overlap pairs x(t), y(t + lag) are ranked
     and correlated; the p-value is the two-sided permutation tail
     (1 + #{|rho_perm| >= |rho|}) / (n_perm + 1) under a seeded shuffle of
-    y's rank vector.  Lags with fewer than 10 overlap pairs are skipped
-    with a warning.  A constant overlap raises ValueError naming the
-    series label and the lag.
+    y's rank vector.  Lags with fewer than ``MIN_LAG_OVERLAP`` overlap
+    pairs are skipped with a warning, so a series' list may be empty.  A
+    constant overlap raises ValueError naming the series label and the lag.
 
     The shuffles equal those of one ``default_rng(seed)`` per series
     calling ``rng.permutation`` once per permutation, lag after lag, so
@@ -172,8 +176,12 @@ def lagged_correlation_scan(
             xi, yi = _lag_overlap(xds[0], yd, lag)
             yv = yd.values[yi]
             n = yv.size
-            if n < 10:
-                log.warning("lag %d skipped: only %d overlapping days", lag, n)
+            if n < MIN_LAG_OVERLAP:
+                log.warning(
+                    "lag %d skipped for series %r (1 of %d over the same days): "
+                    "only %d overlapping days",
+                    lag, xs[members[0]].label, len(members), n,
+                )
                 continue
             ry = _midranks(yv)
             rxs = [_midranks(xd.values[xi]) for xd in xds]

@@ -1,4 +1,5 @@
 import json
+from datetime import date, timedelta
 
 import pytest
 
@@ -159,6 +160,26 @@ class TestStageCommands:
         assert rc == 0
         assert "max |rho|" in capsys.readouterr().out
 
+    def test_correlate_without_enough_overlap_writes_outputs(self, run_dir, capsys):
+        # Polls moved 40 days earlier overlap the 45 article days on 5 only.
+        polls = run_dir / "polls.csv"
+        header, *rows = polls.read_text(encoding="utf-8").splitlines()
+        moved = [
+            f"{date.fromisoformat(r[:10]) - timedelta(days=40)}{r[10:]}" for r in rows
+        ]
+        polls.write_text("\n".join([header, *moved]) + "\n", encoding="utf-8")
+        rc = invoke("correlate", "--config", str(run_dir / "config.yaml"))
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            f"outlet outlet_one {name}: no lag with at least 10 overlapping days"
+            for name in ("mentions[Arden]", "mentions[Briggs]", "topic 0", "topic 1", "topic 2")
+        ]
+        assert lines[5].startswith("wrote ")
+        report = json.loads((run_dir / "out" / "report.json").read_text())
+        correlations = report["outlets"]["outlet_one"]["correlations"]
+        assert all(not cells for cells in correlations["mentions"].values())
+
     def test_causality_prints_cells(self, run_dir, capsys):
         rc = invoke("causality", "--config", str(run_dir / "config.yaml"))
         assert rc == 0
@@ -178,6 +199,16 @@ class TestFixtureCommand:
         assert (fix / "config.yaml").is_file()
         rc = invoke("validate", "--config", str(fix / "config.yaml"))
         assert rc == 0
+
+    def test_flags_set_spec_fields(self, tmp_path):
+        fix = tmp_path / "fix"
+        rc = invoke(
+            "fixture", "--out", str(fix), "--seed", "3", "--days", "40", "--lag", "5",
+            "--beta", "500", "--noise-sigma", "0.2",
+        )
+        assert rc == 0
+        truth = json.loads((fix / "ground_truth.json").read_text())
+        assert truth["causal"] == {"topic": 0, "lag": 5, "beta": 500.0, "noise_sigma": 0.2}
 
     def test_bad_spec_rejected(self, tmp_path, capsys):
         rc = invoke(

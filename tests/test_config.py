@@ -335,6 +335,38 @@ class TestPipelineConfigValidation:
         with pytest.raises(ValueError, match=re.escape(expected)):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "section, key, value, problem",
+        [
+            ("topics", "drop", "12", "expected a list of integers, got '12'"),
+            ("topics", "drop", [1.7], "expected an integer, got 1.7"),
+            ("topics", "drop", [True], "expected an integer, got True"),
+            (None, "window_days", True, "expected an integer, got True"),
+            ("analysis", "max_lag", 15.9, "expected an integer, got 15.9"),
+            (None, "seed", 11.8, "expected an integer, got 11.8"),
+            ("topics", "count", "6", "expected an integer, got '6'"),
+            ("bootstrap", "level", True, "expected a number, got True"),
+            ("bootstrap", "level", "0.9", "expected a number, got '0.9'"),
+            ("sentiment", "membership_threshold", "0.5", "expected a number, got '0.5'"),
+        ],
+    )
+    def test_wrong_type_rejected_naming_file_and_key(self, tmp_path, section, key, value, problem):
+        mapping = base_mapping(tmp_path)
+        if section is None:
+            mapping[key] = value
+        else:
+            mapping[section] = {key: value}
+        p = write_yaml(tmp_path, mapping)
+        dotted = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p)
+        assert str(exc_info.value) == f"{p}: bad value for {dotted}: {problem}"
+
+    def test_integer_fraction_accepted(self, tmp_path):
+        mapping = base_mapping(tmp_path)
+        mapping["sentiment"] = {"membership_threshold": 1}
+        assert load_config(write_yaml(tmp_path, mapping)).membership_threshold == 1.0
+
     def test_partial_lexicon_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="all four"):
             PipelineConfig(**self.kwargs(tmp_path, lexicon=tmp_path / "lex.tsv"))

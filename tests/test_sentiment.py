@@ -10,7 +10,7 @@ from newslens import sentiment
 from newslens.config import load_config
 from newslens.pipeline import run_pipeline
 from newslens.corpus import EntitySpec, load_articles, split_sentences
-from newslens.series import DatedSeries, pooled_window_mean, sliding_mean
+from newslens.series import DatedSeries, pooled_window_mean
 from newslens.sentiment import (
     FIELD_SIGNS,
     SENTIMENT_CLASSES,
@@ -360,8 +360,13 @@ def reference_mention_counts(articles, entities, window_days):
             for i, entity in enumerate(entities):
                 if entity.matches(sent):
                     raw[i, day] += 1
+    smoothed = np.empty_like(raw)
+    for day in range(raw.shape[1]):
+        lo = max(0, day - window_days + 1)
+        for i in range(len(entities)):
+            smoothed[i, day] = sum(raw[i, lo : day + 1]) / (day + 1 - lo)
     return {
-        e.label: sliding_mean(DatedSeries(first, raw[i], label=f"mentions_{e.label}"), window_days)
+        e.label: DatedSeries(first, smoothed[i], label=f"mentions_{e.label}")
         for i, e in enumerate(entities)
     }
 

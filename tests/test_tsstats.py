@@ -222,12 +222,16 @@ class TestLaggedCorrelationScan:
 
     def test_short_overlap_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(10)
-        x = series(rng.random(16))
+        x = series(rng.random(16), label="topic_0")
+        other = series(rng.random(16), label="topic_1")
         y = series(rng.random(16))
         with caplog.at_level("WARNING", logger="newslens.tsstats"):
-            (out,) = lagged_correlation_scan([x], y, max_lag=7, n_perm=49, seed=0)
+            out, _ = lagged_correlation_scan([x, other], y, max_lag=7, n_perm=49, seed=0)
         assert [r.lag for r in out] == [0, 1, 2, 3, 4, 5, 6]
-        assert any("skipped" in r.message for r in caplog.records)
+        assert [r.message for r in caplog.records] == [
+            "lag 7 skipped for series 'topic_0' (1 of 2 over the same days): "
+            "only 9 overlapping days"
+        ]
 
     def test_seeded_p_values_reproducible(self):
         rng = np.random.default_rng(11)

@@ -118,7 +118,7 @@ def _print_correlate(state: RunState) -> None:
 def _print_causality(state: RunState) -> None:
     for outlet in sorted(state.outlets):
         res = state.outlets[outlet]
-        hits = [g for g in res.granger if g.p_value < GRANGER_ALPHA]
+        hits = [g for g in res.granger if g.significant]
         print(f"outlet {outlet}: {len(hits)} significant (topic, lag) cells "
               f"at p < {GRANGER_ALPHA:g}")
         for g in sorted(hits, key=lambda g: g.p_value)[:10]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
 from .bootstrap import BootstrapResult, bootstrap_sb
 from .config import PipelineConfig
 from .corpus import Article, PollRecord, daily_spread, load_articles, load_polls
@@ -42,7 +41,6 @@ from .topics import (
     topic_weight_series,
 )
 from .tsstats import (
-    GRANGER_ALPHA,
     GrangerResult,
     LagCorrelation,
     granger_scan,
@@ -105,141 +103,13 @@ class RunState:
 class ReportBundle:
     """Deterministic run results plus runtime bookkeeping.
 
-    ``runtime_seconds`` is intentionally kept out of ``to_dict`` so the
-    written report is byte-stable across reruns; it lands in the manifest
-    instead.
+    ``runtime_seconds`` is intentionally kept out of ``report.report_dict``
+    so the written report is byte-stable across reruns; it lands in the
+    manifest instead.
     """
 
     state: RunState
     runtime_seconds: float
-
-    def to_dict(self) -> dict:
-        import scipy
-
-        cfg = self.state.config
-        out: dict = {
-            "versions": {
-                "newslens": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
-            "rng": "numpy-pcg64",
-            "settings": {
-                "seed": cfg.seed,
-                "n_topics": cfg.n_topics,
-                "drop_topics": list(cfg.drop_topics),
-                "normalization": cfg.normalization,
-                "window_days": cfg.window_days,
-                "max_lag": cfg.max_lag,
-                "permutations": cfg.n_perm,
-                "bootstrap_samples": cfg.bootstrap_b,
-                "bootstrap_level": cfg.bootstrap_gamma,
-                "membership_threshold": cfg.membership_threshold,
-                "min_topic_mentions": cfg.min_topic_mentions,
-                "entities": [
-                    {"label": e.label, "aliases": list(e.aliases)}
-                    for e in cfg.entities
-                ],
-            },
-            "polls": {
-                "records": len(self.state.polls),
-                "spread": _series_dict(self.state.spread),
-            },
-            "outlets": {},
-        }
-        for name in sorted(self.state.outlets):
-            r = self.state.outlets[name]
-            entry: dict = {
-                "articles": r.n_articles,
-                "topics": {
-                    "keywords": r.keywords,
-                    "kept": list(r.coverage.topic_ids) if r.coverage else [],
-                    "agenda": [float(v) for v in r.agenda] if r.agenda is not None else [],
-                    "nmf_error": r.factors.final_error if r.factors else None,
-                    "nmf_iterations": r.factors.iterations if r.factors else None,
-                    "nmf_converged": r.factors.converged if r.factors else None,
-                    "coverage": [_series_dict(s) for s in (r.coverage.topics if r.coverage else [])],
-                },
-                "mentions": {
-                    "series": {k: _series_dict(v) for k, v in sorted(r.mention_series.items())},
-                    "count": len(r.mentions),
-                },
-                "sentiment_bias": {
-                    "overall": _sb_dict(r.sb_overall),
-                    "daily": _series_dict(r.sb_daily),
-                    "per_topic": [_sb_dict(s) for s in r.sb_by_topic],
-                    "bootstrap": _bootstrap_dict(r.sb_bootstrap),
-                },
-                "correlations": {
-                    "mentions": {
-                        k: [_lag_dict(c) for c in v]
-                        for k, v in sorted(r.mention_correlations.items())
-                    },
-                    "topics": {
-                        str(k): [_lag_dict(c) for c in v]
-                        for k, v in sorted(r.topic_correlations.items())
-                    },
-                },
-                "granger": [_granger_dict(g) for g in r.granger],
-            }
-            out["outlets"][name] = entry
-        return out
-
-
-def _series_dict(s: DatedSeries | None) -> dict | None:
-    if s is None:
-        return None
-    return {
-        "label": s.label,
-        "start": s.start.isoformat(),
-        "values": [float(v) for v in s.values],
-    }
-
-
-def _sb_dict(sb: SbStatistic | None) -> dict | None:
-    if sb is None:
-        return None
-    t = sb.tally
-    return {
-        "value": sb.value,
-        "total": t.total,
-        "counts": {
-            t.label_a: {"positive": t.pos_a, "negative": t.neg_a, "neutral": t.neu_a},
-            t.label_b: {"positive": t.pos_b, "negative": t.neg_b, "neutral": t.neu_b},
-        },
-    }
-
-
-def _bootstrap_dict(b: BootstrapResult | None) -> dict | None:
-    if b is None:
-        return None
-    return {
-        "point": b.point,
-        "ci_low": b.ci_low,
-        "ci_high": b.ci_high,
-        "p_sign": b.p_sign,
-        "stderr": b.stderr,
-        "resamples": b.n_resamples,
-        "level": b.level,
-        "generator": b.generator,
-    }
-
-
-def _lag_dict(c: LagCorrelation) -> dict:
-    return {"lag": c.lag, "rho": c.rho, "p_value": c.p_value, "n_obs": c.n_obs}
-
-
-def _granger_dict(g: GrangerResult) -> dict:
-    return {
-        "topic": g.topic,
-        "lag": g.lag,
-        "beta": g.beta,
-        "stderr": g.stderr,
-        "t_stat": g.t_stat if np.isfinite(g.t_stat) else None,
-        "p_value": g.p_value,
-        "n_obs": g.n_obs,
-        "significant": g.p_value < GRANGER_ALPHA,
-    }
 
 
 # --- stages -----------------------------------------------------------------

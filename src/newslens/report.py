@@ -11,18 +11,131 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
-from datetime import timedelta
+from dataclasses import fields, is_dataclass
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .charts import line_chart, radar_chart
 from .config import outlet_slug
-from .pipeline import ReportBundle
+from .pipeline import OutletResult, ReportBundle
+from .sentiment import SbStatistic
 from .series import DatedSeries
+from .tsstats import GrangerResult
 
-__all__ = ["emit_outputs"]
+__all__ = ["emit_outputs", "report_dict"]
+
+# Report key of each result field whose key is not its name; None leaves
+# the field out.
+_RESULT_KEYS = {"n_resamples": "resamples", "n_mentions": None, "seed": None}
+
+# The same for the settings block, over PipelineConfig's fields.
+_SETTING_KEYS = {
+    "n_perm": "permutations",
+    "bootstrap_b": "bootstrap_samples",
+    "bootstrap_gamma": "bootstrap_level",
+    "min_df": None,
+    "keywords_per_topic": None,
+}
+
+
+def _record(obj, keys: dict[str, str | None]) -> dict:
+    """A dataclass's fields, in field order, as report values under ``keys``.
+
+    Fields declared to hold paths are left out.
+    """
+    out = {}
+    for f in fields(obj):
+        key = keys.get(f.name, f.name)
+        if key is not None and "Path" not in str(f.type):
+            out[key] = _value(getattr(obj, f.name))
+    return out
+
+
+def _value(v):
+    """A result as JSON data: dataclasses become records, dates ISO text,
+    and arrays and tuples lists."""
+    if is_dataclass(v):
+        return _record(v, _RESULT_KEYS)
+    if isinstance(v, date):
+        return v.isoformat()
+    if isinstance(v, np.ndarray):
+        return [float(x) for x in v]
+    if isinstance(v, (tuple, list)):
+        return [_value(x) for x in v]
+    return v
+
+
+def _sb_record(sb: SbStatistic | None) -> dict | None:
+    if sb is None:
+        return None
+    t = sb.tally
+    return {
+        "value": sb.value,
+        "total": t.total,
+        "counts": {
+            t.label_a: {"positive": t.pos_a, "negative": t.neg_a, "neutral": t.neu_a},
+            t.label_b: {"positive": t.pos_b, "negative": t.neg_b, "neutral": t.neu_b},
+        },
+    }
+
+
+def _granger_record(g: GrangerResult) -> dict:
+    return {
+        **_value(g),
+        "t_stat": g.t_stat if math.isfinite(g.t_stat) else None,
+        "significant": g.significant,
+    }
+
+
+def _outlet_record(r: OutletResult) -> dict:
+    fit = r.factors
+    return {
+        "articles": r.n_articles,
+        "topics": {
+            "keywords": r.keywords,
+            "kept": _value(r.coverage.topic_ids) if r.coverage else [],
+            "agenda": _value(r.agenda) if r.agenda is not None else [],
+            "nmf_error": fit.final_error if fit else None,
+            "nmf_iterations": fit.iterations if fit else None,
+            "nmf_converged": fit.converged if fit else None,
+            "coverage": _value(r.coverage.topics) if r.coverage else [],
+        },
+        "mentions": {
+            "series": {k: _value(v) for k, v in sorted(r.mention_series.items())},
+            "count": len(r.mentions),
+        },
+        "sentiment_bias": {
+            "overall": _sb_record(r.sb_overall),
+            "daily": _value(r.sb_daily),
+            "per_topic": [_sb_record(s) for s in r.sb_by_topic],
+            "bootstrap": _value(r.sb_bootstrap),
+        },
+        "correlations": {
+            "mentions": {k: _value(v) for k, v in sorted(r.mention_correlations.items())},
+            "topics": {str(k): _value(v) for k, v in sorted(r.topic_correlations.items())},
+        },
+        "granger": [_granger_record(g) for g in r.granger],
+    }
+
+
+def report_dict(bundle: ReportBundle) -> dict:
+    """The content of report.json: versions, settings, polls and each outlet's results."""
+    state = bundle.state
+    return {
+        "versions": {"newslens": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "rng": "numpy-pcg64",
+        "settings": _record(state.config, _SETTING_KEYS),
+        "polls": {"records": len(state.polls), "spread": _value(state.spread)},
+        "outlets": {name: _outlet_record(state.outlets[name]) for name in sorted(state.outlets)},
+    }
 
 
 def _json_text(obj) -> str:
@@ -47,7 +160,7 @@ def _csv_text(columns: list[DatedSeries]) -> str:
 
 def _render(bundle: ReportBundle) -> dict[str, str]:
     """Each output file's path, relative to the output directory, and its text."""
-    files = {"report.json": _json_text(bundle.to_dict())}
+    files = {"report.json": _json_text(report_dict(bundle))}
     state = bundle.state
     # (file stem, columns, chart title, y label): one CSV and one line chart each
     table: list[tuple[str, list[DatedSeries], str, str]] = []

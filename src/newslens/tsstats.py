@@ -365,6 +365,11 @@ class GrangerResult:
     p_value: float
     n_obs: int
 
+    @property
+    def significant(self) -> bool:
+        """Whether the cell's p-value is below GRANGER_ALPHA."""
+        return self.p_value < GRANGER_ALPHA
+
 
 def granger_beta(
     dy: DatedSeries, dx: DatedSeries, lag: int, topic: int = -1
@@ -423,8 +428,8 @@ def granger_scan(
     Both sides are first-differenced; the differenced spread is checked
     with the unit-root test and a warning is logged when stationarity is
     not supported at the 5% level.  Every (topic, lag) cell for lags
-    0..max_lag is returned; the report marks cells with
-    p < GRANGER_ALPHA as significant.  An empty coverage list yields an
+    0..max_lag is returned; a cell's ``significant`` marks
+    p < GRANGER_ALPHA.  An empty coverage list yields an
     empty result.
     """
     if max_lag < 0:

@@ -23,7 +23,7 @@ from newslens.pipeline import (
     stage_topics,
     RunState,
 )
-from newslens.report import emit_outputs
+from newslens.report import emit_outputs, report_dict
 
 from conftest import build_run_dir
 
@@ -71,19 +71,19 @@ class TestRunPipeline:
         expected = {(t, l) for t in res.coverage.topic_ids for l in range(6)}
         assert cells == expected
 
-    def test_to_dict_is_deterministic(self, tmp_path):
+    def test_report_dict_is_deterministic(self, tmp_path):
         cfg = load_config(build_run_dir(tmp_path))
-        a = run_pipeline(cfg).to_dict()
-        b = run_pipeline(cfg).to_dict()
+        a = report_dict(run_pipeline(cfg))
+        b = report_dict(run_pipeline(cfg))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_runtime_not_in_report_dict(self, run_bundle):
-        text = json.dumps(run_bundle.to_dict())
+        text = json.dumps(report_dict(run_bundle))
         assert "runtime" not in text
         assert run_bundle.runtime_seconds > 0.0
 
     def test_report_shape(self, run_bundle):
-        d = run_bundle.to_dict()
+        d = report_dict(run_bundle)
         assert set(d) == {"versions", "rng", "settings", "polls", "outlets"}
         assert d["rng"] == "numpy-pcg64"
         assert {"newslens", "numpy", "scipy"} <= set(d["versions"])
@@ -94,7 +94,7 @@ class TestRunPipeline:
             assert cell["significant"] == (cell["p_value"] < 0.01)
 
     def test_nmf_convergence_reported(self, run_bundle):
-        topics = run_bundle.to_dict()["outlets"]["outlet_one"]["topics"]
+        topics = report_dict(run_bundle)["outlets"]["outlet_one"]["topics"]
         keys = list(topics)
         assert keys.index("nmf_converged") == keys.index("nmf_iterations") + 1
         assert topics["nmf_converged"] is run_bundle.state.outlets["outlet_one"].factors.converged

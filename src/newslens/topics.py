@@ -309,6 +309,12 @@ def _sweep(factor: np.ndarray, gram: np.ndarray, rhs: np.ndarray, scratch: np.nd
             np.maximum(scratch, 0.0, out=factor[j])
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||, by numpy's pairwise sum: BLAS dot products of long vectors
+    round differently at different thread counts."""
+    return float(np.sqrt(np.add.reduce(v * v)))
+
+
 def _nndsvd_start(x: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The NNDSVD start that ``nmf_factorize`` describes, before scaling:
     H transposed (k x docs) and W (k x terms)."""
@@ -319,14 +325,14 @@ def _nndsvd_start(x: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(k):
         if s[j] == 0.0:
             continue
-        uj = u[:, j] / np.linalg.norm(u[:, j])
-        vj = v[:, j] / np.linalg.norm(v[:, j])
+        uj = u[:, j] / _norm(u[:, j])
+        vj = v[:, j] / _norm(v[:, j])
         up, vp = np.maximum(uj, 0.0), np.maximum(vj, 0.0)
         un, vn = np.maximum(-uj, 0.0), np.maximum(-vj, 0.0)
-        p = np.linalg.norm(up) * np.linalg.norm(vp)
-        n = np.linalg.norm(un) * np.linalg.norm(vn)
+        p = _norm(up) * _norm(vp)
+        n = _norm(un) * _norm(vn)
         a, b = (up, vp) if p > n else (un, vn) if n > p else (np.abs(uj), np.abs(vj))
-        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+        norm_a, norm_b = _norm(a), _norm(b)
         scale = np.sqrt(s[j] * norm_a * norm_b)
         ht[j] = scale * a / norm_a
         w[j] = scale * b / norm_b

@@ -2,8 +2,12 @@ import dataclasses
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ import scipy.sparse as sp
 
 from newslens.config import load_config
 from newslens.corpus import tokenize
-from newslens.fixture import generate_fixture
+import newslens
+from newslens.fixture import FixtureSpec, generate_fixture
 from newslens.pipeline import run_pipeline
 from newslens.topics import (
     NmfFactors,
@@ -282,6 +287,35 @@ class TestNndsvdStart:
         factors = nmf_factorize(x, n_topics=5)
         assert np.isfinite(factors.H).all() and factors.converged
 
+    def test_topics_stage_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 12,000 documents: OpenBLAS splits a dot product over threads from
+        # about 10,000 elements, and the start normalizes columns of length
+        # docs, so a BLAS reduction there would round differently at 1 and 2
+        # threads.  The benchmark pins one thread and cannot see this.
+        spec = FixtureSpec(days=240, docs_per_topic_per_day=10)
+        config = generate_fixture(tmp_path, 11, spec)["config"]
+        code = (
+            "import hashlib, sys\n"
+            "from newslens.config import load_config\n"
+            "from newslens.pipeline import run_pipeline\n"
+            "res = run_pipeline(load_config(sys.argv[1]), through='topics').state.outlets\n"
+            "for name, r in sorted(res.items()):\n"
+            "    f = r.factors\n"
+            "    print(name, f.H.shape[0], hashlib.sha256(f.H.tobytes() + f.W.tobytes()).hexdigest())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(newslens.__file__).parent.parent))
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(config)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0].split()[:2] == ["synth_daily", "12000"]
+        assert outputs[0] == outputs[1]
+
 
 class TestPlantedTopicsOnFixture:
     # From the former uniform random start, these seeds of the default
@@ -343,10 +377,15 @@ def frobenius_oracle(x, h, w, x_sq):
     return float(np.sqrt(max(x_sq - 2.0 * cross + gram, 0.0)))
 
 
+def pairwise_norm(v):
+    return np.sqrt(np.sum(v * v))
+
+
 def nndsvd_oracle(x, k):
     """The NNDSVD start as the docstring states it, before scaling: H
     transposed (k x docs) and W.  The eigen- and singular-value routines
-    are the ones nmf_factorize calls, on the same matrices."""
+    are the ones nmf_factorize calls, on the same matrices, and norms are
+    numpy's pairwise sums, as in nmf_factorize."""
     d, t = x.shape
     if t * t <= x.nnz or k == t:
         lam, vec = np.linalg.eigh((x.T @ x).toarray())
@@ -368,21 +407,21 @@ def nndsvd_oracle(x, k):
         if sq[j] <= max(d, t) * np.finfo(float).eps * sq[0]:
             continue  # null component
         s = np.sqrt(sq[j])
-        uj = u[:, j] / np.linalg.norm(u[:, j])
-        vj = v[:, j] / np.linalg.norm(v[:, j])
+        uj = u[:, j] / pairwise_norm(u[:, j])
+        vj = v[:, j] / pairwise_norm(v[:, j])
         up, un = np.maximum(uj, 0.0), np.maximum(-uj, 0.0)
         vp, vn = np.maximum(vj, 0.0), np.maximum(-vj, 0.0)
-        p = np.linalg.norm(up) * np.linalg.norm(vp)
-        n = np.linalg.norm(un) * np.linalg.norm(vn)
+        p = pairwise_norm(up) * pairwise_norm(vp)
+        n = pairwise_norm(un) * pairwise_norm(vn)
         if p > n:
             a, b = up, vp
         elif n > p:
             a, b = un, vn
         else:
             a, b = np.abs(uj), np.abs(vj)
-        scale = np.sqrt(s * np.linalg.norm(a) * np.linalg.norm(b))
-        ht[j] = scale * a / np.linalg.norm(a)
-        w[j] = scale * b / np.linalg.norm(b)
+        scale = np.sqrt(s * pairwise_norm(a) * pairwise_norm(b))
+        ht[j] = scale * a / pairwise_norm(a)
+        w[j] = scale * b / pairwise_norm(b)
     fill = x.data.mean() / 100.0 if x.nnz else 0.0
     ht[ht == 0.0] = fill
     w[w == 0.0] = fill

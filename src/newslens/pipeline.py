@@ -240,9 +240,10 @@ def stage_correlate(state: RunState) -> None:
 def stage_causality(state: RunState) -> None:
     # One scan over every outlet's kept topics, so the shared spread is
     # differenced and unit-root checked once; a result's topic field indexes
-    # that list and is mapped back to the outlet's topic id.
+    # that list and is mapped back to the outlet's topic id.  Labels name
+    # the outlet.
     kept = [
-        (res, topic_id, s)
+        (res, topic_id, s.with_values(s.values, label=f"{res.outlet}/{s.label}"))
         for res in (state.outlets[outlet] for outlet in sorted(state.articles))
         if res.coverage is not None
         for topic_id, s in zip(res.coverage.topic_ids, res.coverage.topics)

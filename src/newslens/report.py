@@ -41,8 +41,6 @@ _SETTING_KEYS = {
     "n_perm": "permutations",
     "bootstrap_b": "bootstrap_samples",
     "bootstrap_gamma": "bootstrap_level",
-    "min_df": None,
-    "keywords_per_topic": None,
 }
 
 

@@ -272,14 +272,16 @@ def nmf_factorize(
 
 
 def _residual_sq(x: sp.csr_matrix, ht: np.ndarray, w: np.ndarray) -> float:
-    """||X - H @ W||^2 summed entry by entry, over blocks of whole rows."""
+    """||X - H @ W||^2 summed entry by entry, over blocks of whole rows,
+    each by numpy's pairwise sum as in ``_norm``."""
     d, t = x.shape
     rows = max(1, _BLOCK_CELLS // t)
     total = 0.0
     for lo in range(0, d, rows):
         block = x[lo : lo + rows].toarray()
         block -= ht[:, lo : lo + rows].T @ w
-        total += float(np.vdot(block, block))
+        block *= block
+        total += float(np.add.reduce(block, axis=None))
     return total
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "GrangerResult",
     "granger_beta",
     "granger_scan",
+    "MIN_GRANGER_OVERLAP",
     "GRANGER_ALPHA",
 ]
 
@@ -35,6 +36,9 @@ ADF_CRITICAL = {"1%": -3.43, "5%": -2.86, "10%": -2.57}
 
 # Fewest overlapping days a lag correlation is computed from.
 MIN_LAG_OVERLAP = 10
+
+# Fewest overlapping days a slope test is computed from.
+MIN_GRANGER_OVERLAP = 20
 
 # Level below which a slope-test cell counts as significant.
 GRANGER_ALPHA = 0.01
@@ -67,6 +71,24 @@ def _lag_overlap(x: DatedSeries, y: DatedSeries, lag: int) -> tuple[slice, slice
     lo = max(0, offset)
     hi = max(lo, min(len(x), len(y) + offset))
     return slice(lo, hi), slice(lo - offset, hi - offset)
+
+
+def _warn_skipped(lags: list[int], label: str, detail: str, min_overlap: int) -> None:
+    """One warning naming every lag skipped for a series, in runs."""
+    if not lags:
+        return
+    runs: list[list[int]] = []
+    for lag in lags:
+        if runs and lag == runs[-1][1] + 1:
+            runs[-1][1] = lag
+        else:
+            runs.append([lag, lag])
+    log.warning(
+        "%s %s skipped for series %r%s: fewer than %d overlapping days",
+        "lag" if len(lags) == 1 else "lags",
+        ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs),
+        label, detail, min_overlap,
+    )
 
 
 # --- rank correlation -----------------------------------------------------
@@ -141,7 +163,8 @@ def lagged_correlation_scan(
     and correlated; the p-value is the two-sided permutation tail
     (1 + #{|rho_perm| >= |rho|}) / (n_perm + 1) under a seeded shuffle of
     y's rank vector.  Lags with fewer than ``MIN_LAG_OVERLAP`` overlap
-    pairs are skipped with a warning, so a series' list may be empty.  A
+    pairs are skipped, with one warning per group of series over the same
+    days, so a series' list may be empty.  A
     constant overlap raises ValueError naming the series label and the lag.
 
     The shuffles equal those of one ``default_rng(seed)`` per series
@@ -172,16 +195,13 @@ def lagged_correlation_scan(
     for members in groups.values():
         xds = [linear_detrend(xs[i]) for i in members]
         rng = np.random.default_rng(seed)
+        skipped = []
         for lag in range(max_lag + 1):
             xi, yi = _lag_overlap(xds[0], yd, lag)
             yv = yd.values[yi]
             n = yv.size
             if n < MIN_LAG_OVERLAP:
-                log.warning(
-                    "lag %d skipped for series %r (1 of %d over the same days): "
-                    "only %d overlapping days",
-                    lag, xs[members[0]].label, len(members), n,
-                )
+                skipped.append(lag)
                 continue
             ry = _midranks(yv)
             rxs = [_midranks(xd.values[xi]) for xd in xds]
@@ -195,6 +215,8 @@ def lagged_correlation_scan(
             for i, rho, h in zip(members, rhos, hits):
                 p = (1 + int(h)) / (n_perm + 1)
                 out[i].append(LagCorrelation(lag=lag, rho=rho, p_value=p, n_obs=n))
+        detail = f" (1 of {len(members)} over the same days)"
+        _warn_skipped(skipped, xs[members[0]].label, detail, MIN_LAG_OVERLAP)
     return out
 
 
@@ -378,16 +400,18 @@ def granger_beta(
 
     Inputs are expected to be differenced series.  The p-value is
     two-sided from the t-distribution with n - 2 degrees of freedom.
-    A negative lag, fewer than 20 overlapping days or a constant
-    regressor raise ValueError.
+    A negative lag, fewer than MIN_GRANGER_OVERLAP overlapping days or a
+    constant regressor raise ValueError.
     """
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
     xi, yi = _lag_overlap(dx, dy, lag)
     xv, yv = dx.values[xi], dy.values[yi]
     n = xv.size
-    if n < 20:
-        raise ValueError(f"only {n} overlapping days at lag {lag}; need >= 20")
+    if n < MIN_GRANGER_OVERLAP:
+        raise ValueError(
+            f"only {n} overlapping days at lag {lag}; need >= {MIN_GRANGER_OVERLAP}"
+        )
     if np.all(xv == xv[0]):
         raise ValueError(f"regressor is constant at lag {lag}")
     # Closed-form simple regression: slope = Sxy / Sxx keeps the
@@ -428,9 +452,10 @@ def granger_scan(
     Both sides are first-differenced; the differenced spread is checked
     with the unit-root test and a warning is logged when stationarity is
     not supported at the 5% level.  Every (topic, lag) cell for lags
-    0..max_lag is returned; a cell's ``significant`` marks
-    p < GRANGER_ALPHA.  An empty coverage list yields an
-    empty result.
+    0..max_lag is returned, except those with fewer than
+    MIN_GRANGER_OVERLAP overlapping days, which are skipped with one
+    warning per topic; a cell's ``significant`` marks p < GRANGER_ALPHA.
+    An empty coverage list yields an empty result.
     """
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
@@ -450,6 +475,12 @@ def granger_scan(
         log.warning("unit-root check skipped: %s", exc)
     for i, topic_series in enumerate(coverage):
         d_topic = first_difference(topic_series)
+        skipped = []
         for lag in range(max_lag + 1):
-            results.append(granger_beta(d_spread, d_topic, lag, topic=i))
+            xi, _ = _lag_overlap(d_topic, d_spread, lag)
+            if xi.stop - xi.start < MIN_GRANGER_OVERLAP:
+                skipped.append(lag)
+            else:
+                results.append(granger_beta(d_spread, d_topic, lag, topic=i))
+        _warn_skipped(skipped, topic_series.label, "", MIN_GRANGER_OVERLAP)
     return results

@@ -180,6 +180,28 @@ class TestStageCommands:
         correlations = report["outlets"]["outlet_one"]["correlations"]
         assert all(not cells for cells in correlations["mentions"].values())
 
+    def test_run_without_enough_overlap_writes_outputs(self, run_dir, capsys, caplog):
+        # As above: no lag of the differenced series has 20 overlapping days,
+        # so every slope-test cell is skipped and the run still completes.
+        polls = run_dir / "polls.csv"
+        header, *rows = polls.read_text(encoding="utf-8").splitlines()
+        moved = [
+            f"{date.fromisoformat(r[:10]) - timedelta(days=40)}{r[10:]}" for r in rows
+        ]
+        polls.write_text("\n".join([header, *moved]) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="newslens.tsstats"):
+            rc = invoke("run", "--config", str(run_dir / "config.yaml"))
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"wrote 11 files to {run_dir / 'out'}"
+        report = json.loads((run_dir / "out" / "report.json").read_text())
+        assert report["outlets"]["outlet_one"]["granger"] == []
+        skips = [r.message for r in caplog.records if "fewer than 20" in r.message]
+        assert skips == [
+            f"lags 0-5 skipped for series 'outlet_one/topic_{i}': "
+            "fewer than 20 overlapping days"
+            for i in range(3)
+        ]
+
     def test_causality_prints_cells(self, run_dir, capsys):
         rc = invoke("causality", "--config", str(run_dir / "config.yaml"))
         assert rc == 0

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,12 +94,70 @@ class TestRunPipeline:
         for cell in outlet["granger"]:
             assert cell["significant"] == (cell["p_value"] < 0.01)
 
+    def test_settings_record_every_analysis_field(self, run_bundle):
+        # Every PipelineConfig field but the paths, min_df and
+        # keywords_per_topic among them, so runs that differ only there differ.
+        cfg = run_bundle.state.config
+        assert report_dict(run_bundle)["settings"] == {
+            "seed": cfg.seed,
+            "n_topics": cfg.n_topics,
+            "drop_topics": list(cfg.drop_topics),
+            "normalization": cfg.normalization,
+            "min_df": cfg.min_df,
+            "window_days": cfg.window_days,
+            "max_lag": cfg.max_lag,
+            "permutations": cfg.n_perm,
+            "bootstrap_samples": cfg.bootstrap_b,
+            "bootstrap_level": cfg.bootstrap_gamma,
+            "membership_threshold": cfg.membership_threshold,
+            "min_topic_mentions": cfg.min_topic_mentions,
+            "keywords_per_topic": cfg.keywords_per_topic,
+            "entities": [{"label": e.label, "aliases": list(e.aliases)} for e in cfg.entities],
+        }
+
     def test_nmf_convergence_reported(self, run_bundle):
         topics = report_dict(run_bundle)["outlets"]["outlet_one"]["topics"]
         keys = list(topics)
         assert keys.index("nmf_converged") == keys.index("nmf_iterations") + 1
         assert topics["nmf_converged"] is run_bundle.state.outlets["outlet_one"].factors.converged
         assert topics["nmf_converged"] is True
+
+    def test_readme_table_names_every_report_key(self, run_bundle):
+        report = report_dict(run_bundle)
+        # The run exercises every record type, a per-topic SB among them.
+        assert any(report["outlets"]["outlet_one"]["sentiment_bias"]["per_topic"])
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### `report.json` keys", 1)[1].split("\n## ", 1)[0]
+        table = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+        assert len(table) == len(set(table))
+        assert set(table) == report_key_paths(report)
+
+
+def report_key_paths(report: dict) -> set[str]:
+    """Every key path of a report; keys that are outlet names, entity labels
+    or topic ids read <outlet>, <entity> and <topic>, and [] marks list
+    elements."""
+    labels = {e["label"] for e in report["settings"]["entities"]}
+    paths = set()
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                if path == "outlets":
+                    key = "<outlet>"
+                elif path.endswith("correlations.topics"):
+                    key = "<topic>"
+                elif key in labels:
+                    key = "<entity>"
+                sub = f"{path}.{key}" if path else key
+                paths.add(sub)
+                walk(item, sub)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, f"{path}[]")
+
+    walk(report, "")
+    return paths
 
 
 class TestParseOnce:

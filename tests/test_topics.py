@@ -287,21 +287,29 @@ class TestNndsvdStart:
         factors = nmf_factorize(x, n_topics=5)
         assert np.isfinite(factors.H).all() and factors.converged
 
-    def test_topics_stage_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # 12,000 documents: OpenBLAS splits a dot product over threads from
-        # about 10,000 elements, and the start normalizes columns of length
-        # docs, so a BLAS reduction there would round differently at 1 and 2
-        # threads.  The benchmark pins one thread and cannot see this.
+    def test_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product over threads from about 10,000
+        # elements, so a BLAS reduction of a vector that long rounds
+        # differently at 1 and 2 threads.  Each thread count runs in its
+        # own process: the topics stage on 12,000 documents, whose start
+        # normalizes columns of that length, and the exact residual, summed
+        # over blocks of 65,520 cells, of six random 12,000 x 40 fits.  The
+        # benchmark pins one thread, so it cannot see this.
         spec = FixtureSpec(days=240, docs_per_topic_per_day=10)
         config = generate_fixture(tmp_path, 11, spec)["config"]
         code = (
             "import hashlib, sys\n"
+            "import numpy as np\n"
             "from newslens.config import load_config\n"
             "from newslens.pipeline import run_pipeline\n"
-            "res = run_pipeline(load_config(sys.argv[1]), through='topics').state.outlets\n"
-            "for name, r in sorted(res.items()):\n"
-            "    f = r.factors\n"
-            "    print(name, f.H.shape[0], hashlib.sha256(f.H.tobytes() + f.W.tobytes()).hexdigest())\n"
+            "from newslens.topics import _as_csr, _residual_sq\n"
+            "state = run_pipeline(load_config(sys.argv[1]), through='topics').state\n"
+            "f = state.outlets['synth_daily'].factors\n"
+            "print(f.H.shape[0], hashlib.sha256(f.H.tobytes() + f.W.tobytes()).hexdigest())\n"
+            "for seed in range(6):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    x = _as_csr(rng.random((12000, 40)))\n"
+            "    print(_residual_sq(x, rng.random((3, 12000)), rng.random((3, 40))).hex())\n"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -312,8 +320,8 @@ class TestNndsvdStart:
                 [sys.executable, "-c", code, str(config)],
                 capture_output=True, text=True, env=env, check=True,
             )
-            outputs.append(proc.stdout)
-        assert outputs[0].split()[:2] == ["synth_daily", "12000"]
+            outputs.append(proc.stdout.splitlines())
+        assert len(outputs[0]) == 7 and outputs[0][0].startswith("12000 ")
         assert outputs[0] == outputs[1]
 
 

@@ -230,7 +230,20 @@ class TestLaggedCorrelationScan:
         assert [r.lag for r in out] == [0, 1, 2, 3, 4, 5, 6]
         assert [r.message for r in caplog.records] == [
             "lag 7 skipped for series 'topic_0' (1 of 2 over the same days): "
-            "only 9 overlapping days"
+            "fewer than 10 overlapping days"
+        ]
+
+    def test_one_warning_names_every_skipped_lag(self, caplog):
+        # y starts 15 days before x: lag L overlaps on 15 - L days.
+        rng = np.random.default_rng(10)
+        x = series(rng.random(30), label="topic_0")
+        y = series(rng.random(30), start=START - timedelta(days=15))
+        with caplog.at_level("WARNING", logger="newslens.tsstats"):
+            (out,) = lagged_correlation_scan([x], y, max_lag=9, n_perm=49, seed=0)
+        assert [r.lag for r in out] == [0, 1, 2, 3, 4, 5]
+        assert [r.message for r in caplog.records] == [
+            "lags 6-9 skipped for series 'topic_0' (1 of 1 over the same days): "
+            "fewer than 10 overlapping days"
         ]
 
     def test_seeded_p_values_reproducible(self):
@@ -564,6 +577,27 @@ class TestGrangerScan:
     def test_empty_coverage(self):
         spread, _, _ = self.build_planted()
         assert granger_scan(spread, [], max_lag=4) == []
+
+    def test_short_cells_skipped_with_one_warning_per_topic(self, caplog):
+        # The spread starts 25 days before the topics: after differencing,
+        # lag L overlaps on 34 - L days, so lags 15 and 16 fall short.
+        rng = np.random.default_rng(30)
+        spread = series(rng.standard_normal(60), start=START - timedelta(days=25))
+        coverage = [series(rng.standard_normal(60), label=f"topic_{i}") for i in range(2)]
+        with caplog.at_level("WARNING", logger="newslens.tsstats"):
+            out = granger_scan(spread, coverage, max_lag=16)
+        assert [(r.topic, r.lag) for r in out] == [(t, l) for t in range(2) for l in range(15)]
+        assert [r.n_obs for r in out[:15]] == list(range(34, 19, -1))
+        skips = [r.message for r in caplog.records if "skipped" in r.message]
+        assert skips == [
+            f"lags 15-16 skipped for series 'topic_{i}': fewer than 20 overlapping days"
+            for i in range(2)
+        ]
+
+    def test_no_cell_with_enough_overlap(self):
+        rng = np.random.default_rng(31)
+        spread = series(rng.standard_normal(60), start=START - timedelta(days=50))
+        assert granger_scan(spread, [series(rng.standard_normal(60))], max_lag=3) == []
 
     def test_nonstationary_spread_warns(self, caplog):
         rng = np.random.default_rng(29)

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import shutil
 import tempfile
@@ -88,7 +87,7 @@ def _sb_record(sb: SbStatistic | None) -> dict | None:
 def _granger_record(g: GrangerResult) -> dict:
     return {
         **_value(g),
-        "t_stat": g.t_stat if math.isfinite(g.t_stat) else None,
+        "t_stat": g.t_stat if np.isfinite(g.t_stat) else None,
         "significant": g.significant,
     }
 

@@ -1,6 +1,7 @@
 """Write run outputs: report.json, per-series CSVs, SVG charts, manifest.
 
-The manifest lists every written file with its sha256 and size, so two
+``report_dict`` builds report.json's content from the result dataclasses;
+README's key table lists every key it writes.  The manifest lists every written file with its sha256 and size, so two
 runs can be compared by hash alone.  Runtime lives only in the manifest;
 report.json stays byte-identical across reruns of the same config.
 """

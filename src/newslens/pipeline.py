@@ -211,46 +211,46 @@ def stage_sentiment(state: RunState) -> None:
         res.sb_bootstrap = bootstrap_sb(tally, cfg.bootstrap_b, cfg.bootstrap_gamma, cfg.seed)
 
 
+def _outlet_series(
+    state: RunState, mentions: bool
+) -> tuple[list[tuple[OutletResult, str | int]], list[DatedSeries]]:
+    """Every outlet's series, labelled ``<outlet>/<label>``, and each one's (outlet, key).
+
+    Per outlet in name order: the mention series by entity label when
+    ``mentions`` is set, then the kept topic series by topic id.
+    """
+    slots, series = [], []
+    for outlet in sorted(state.articles):
+        res = state.outlets[outlet]
+        named = sorted(res.mention_series.items()) if mentions else []
+        if res.coverage is not None:
+            named += zip(res.coverage.topic_ids, res.coverage.topics)
+        for key, s in named:
+            slots.append((res, key))
+            series.append(s.with_values(s.values, label=f"{outlet}/{s.label}"))
+    return slots, series
+
+
 @_stage("correlate")
 def stage_correlate(state: RunState) -> None:
     cfg = state.config
     # One scan over every series of every outlet, so series over the same
-    # days share their permutation draws; labels name the outlet.
-    slots: list[tuple[dict, str | int]] = []
-    series: list[DatedSeries] = []
-    for outlet in sorted(state.articles):
-        res = state.outlets[outlet]
-        named = [
-            (res.mention_correlations, label, s) for label, s in sorted(res.mention_series.items())
-        ]
-        if res.coverage is not None:
-            named += [
-                (res.topic_correlations, topic_id, s)
-                for topic_id, s in zip(res.coverage.topic_ids, res.coverage.topics)
-            ]
-        for target, key, s in named:
-            slots.append((target, key))
-            series.append(s.with_values(s.values, label=f"{outlet}/{s.label}"))
+    # days share their permutation draws.
+    slots, series = _outlet_series(state, mentions=True)
     scans = lagged_correlation_scan(series, state.spread, cfg.max_lag, cfg.n_perm, cfg.seed)
-    for (target, key), scan in zip(slots, scans):
+    for (res, key), scan in zip(slots, scans):
+        target = res.topic_correlations if isinstance(key, int) else res.mention_correlations
         target[key] = scan
 
 
 @_stage("causality")
 def stage_causality(state: RunState) -> None:
     # One scan over every outlet's kept topics, so the shared spread is
-    # differenced and unit-root checked once; a result's topic field indexes
-    # that list and is mapped back to the outlet's topic id.  Labels name
-    # the outlet.
-    kept = [
-        (res, topic_id, s.with_values(s.values, label=f"{res.outlet}/{s.label}"))
-        for res in (state.outlets[outlet] for outlet in sorted(state.articles))
-        if res.coverage is not None
-        for topic_id, s in zip(res.coverage.topic_ids, res.coverage.topics)
-    ]
-    for g in granger_scan(state.spread, [s for _, _, s in kept], state.config.max_lag):
-        res, topic_id, _ = kept[g.topic]
-        res.granger.append(replace(g, topic=topic_id))
+    # differenced and unit-root checked once.
+    slots, series = _outlet_series(state, mentions=False)
+    scans = granger_scan(state.spread, series, state.config.max_lag)
+    for (res, topic_id), cells in zip(slots, scans):
+        res.granger.extend(replace(g, topic=topic_id) for g in cells)
 
 
 def run_pipeline(config: PipelineConfig, through: str = "causality") -> ReportBundle:

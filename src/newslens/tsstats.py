@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -73,22 +73,38 @@ def _lag_overlap(x: DatedSeries, y: DatedSeries, lag: int) -> tuple[slice, slice
     return slice(lo, hi), slice(lo - offset, hi - offset)
 
 
-def _warn_skipped(lags: list[int], label: str, detail: str, min_overlap: int) -> None:
-    """One warning naming every lag skipped for a series, in runs."""
-    if not lags:
-        return
-    runs: list[list[int]] = []
-    for lag in lags:
-        if runs and lag == runs[-1][1] + 1:
-            runs[-1][1] = lag
-        else:
-            runs.append([lag, lag])
-    log.warning(
-        "%s %s skipped for series %r%s: fewer than %d overlapping days",
-        "lag" if len(lags) == 1 else "lags",
-        ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs),
-        label, detail, min_overlap,
-    )
+def _lag_grid(
+    xs: list[DatedSeries], y: DatedSeries, max_lag: int, min_overlap: int
+) -> Iterator[tuple[list[int], list[tuple[int, slice, slice]]]]:
+    """Cells of x(t) against y(t + lag), per group of series over the same days.
+
+    Yields each group's member indices (series with the same start and
+    length) and its (lag, x slice, y slice) cells for lags 0..max_lag with
+    at least ``min_overlap`` overlapping days.  One warning per group names
+    the lags skipped, in runs.
+    """
+    groups: dict[tuple[date, int], list[int]] = {}
+    for i, x in enumerate(xs):
+        groups.setdefault((x.start, len(x)), []).append(i)
+    for members in groups.values():
+        cells, runs = [], []  # runs: the skipped lags, as [first, last] pairs
+        for lag in range(max_lag + 1):
+            xi, yi = _lag_overlap(xs[members[0]], y, lag)
+            if xi.stop - xi.start >= min_overlap:
+                cells.append((lag, xi, yi))
+            elif runs and runs[-1][1] == lag - 1:
+                runs[-1][1] = lag
+            else:
+                runs.append([lag, lag])
+        if runs:
+            log.warning(
+                "%s %s skipped for series %r (1 of %d over the same days): "
+                "fewer than %d overlapping days",
+                "lag" if runs[0][0] == runs[-1][1] else "lags",
+                ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs),
+                xs[members[0]].label, len(members), min_overlap,
+            )
+        yield members, cells
 
 
 # --- rank correlation -----------------------------------------------------
@@ -189,21 +205,11 @@ def lagged_correlation_scan(
     if not xs:
         return out
     yd = linear_detrend(y)
-    groups: dict[tuple[date, int], list[int]] = {}
-    for i, x in enumerate(xs):
-        groups.setdefault((x.start, len(x)), []).append(i)
-    for members in groups.values():
+    for members, cells in _lag_grid(xs, yd, max_lag, MIN_LAG_OVERLAP):
         xds = [linear_detrend(xs[i]) for i in members]
         rng = np.random.default_rng(seed)
-        skipped = []
-        for lag in range(max_lag + 1):
-            xi, yi = _lag_overlap(xds[0], yd, lag)
-            yv = yd.values[yi]
-            n = yv.size
-            if n < MIN_LAG_OVERLAP:
-                skipped.append(lag)
-                continue
-            ry = _midranks(yv)
+        for lag, xi, yi in cells:
+            ry = _midranks(yd.values[yi])
             rxs = [_midranks(xd.values[xi]) for xd in xds]
             rhos = []
             for i, rx in zip(members, rxs):
@@ -214,9 +220,7 @@ def lagged_correlation_scan(
             hits = _permutation_hits(np.column_stack(rxs), ry, np.array(rhos), n_perm, rng)
             for i, rho, h in zip(members, rhos, hits):
                 p = (1 + int(h)) / (n_perm + 1)
-                out[i].append(LagCorrelation(lag=lag, rho=rho, p_value=p, n_obs=n))
-        detail = f" (1 of {len(members)} over the same days)"
-        _warn_skipped(skipped, xs[members[0]].label, detail, MIN_LAG_OVERLAP)
+                out[i].append(LagCorrelation(lag=lag, rho=rho, p_value=p, n_obs=ry.size))
     return out
 
 
@@ -444,24 +448,24 @@ def granger_beta(
 
 def granger_scan(
     spread: DatedSeries,
-    coverage: list[DatedSeries],
+    coverage: Sequence[DatedSeries],
     max_lag: int,
-) -> list[GrangerResult]:
+) -> list[list[GrangerResult]]:
     """Slope tests of differenced spread on each differenced topic series.
 
+    Returns one list of GrangerResult per series of ``coverage``, in
+    order, lags ascending, each cell's ``topic`` the series' position.
     Both sides are first-differenced; the differenced spread is checked
-    with the unit-root test and a warning is logged when stationarity is
-    not supported at the 5% level.  Every (topic, lag) cell for lags
-    0..max_lag is returned, except those with fewer than
-    MIN_GRANGER_OVERLAP overlapping days, which are skipped with one
-    warning per topic; a cell's ``significant`` marks p < GRANGER_ALPHA.
-    An empty coverage list yields an empty result.
+    once with the unit-root test, with a warning when stationarity is not
+    supported at the 5% level.  Lags with fewer than MIN_GRANGER_OVERLAP
+    overlapping days are skipped, with one warning per group of series
+    over the same days, so a series' list may be empty.
     """
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    results: list[GrangerResult] = []
+    out: list[list[GrangerResult]] = [[] for _ in coverage]
     if not coverage:
-        return results
+        return out
     d_spread = first_difference(spread)
     try:
         adf = adf_test(d_spread)
@@ -473,14 +477,8 @@ def granger_scan(
             )
     except ValueError as exc:
         log.warning("unit-root check skipped: %s", exc)
-    for i, topic_series in enumerate(coverage):
-        d_topic = first_difference(topic_series)
-        skipped = []
-        for lag in range(max_lag + 1):
-            xi, _ = _lag_overlap(d_topic, d_spread, lag)
-            if xi.stop - xi.start < MIN_GRANGER_OVERLAP:
-                skipped.append(lag)
-            else:
-                results.append(granger_beta(d_spread, d_topic, lag, topic=i))
-        _warn_skipped(skipped, topic_series.label, "", MIN_GRANGER_OVERLAP)
-    return results
+    d_topics = [first_difference(s) for s in coverage]
+    for members, cells in _lag_grid(d_topics, d_spread, max_lag, MIN_GRANGER_OVERLAP):
+        for i in members:
+            out[i] = [granger_beta(d_spread, d_topics[i], lag, topic=i) for lag, _, _ in cells]
+    return out

@@ -93,16 +93,25 @@ class TestRun:
         assert ra != rb
 
     def test_drop_topics_flag(self, run_dir, tmp_path):
-        rc = invoke(
-            "run",
-            "--config", str(run_dir / "config.yaml"),
-            "--out", str(tmp_path / "dropped"),
-            "--drop-topics", "2",
-        )
-        assert rc == 0
-        report = json.loads((tmp_path / "dropped" / "report.json").read_text())
-        assert report["settings"]["drop_topics"] == [2]
-        assert report["outlets"]["outlet_one"]["topics"]["kept"] == [0, 1]
+        # Results stay keyed by topic id, also when dropping topic 0 moves
+        # every kept topic's position off its id.
+        for drop, kept in ((2, [0, 1]), (0, [1, 2])):
+            out = tmp_path / f"dropped_{drop}"
+            rc = invoke(
+                "run",
+                "--config", str(run_dir / "config.yaml"),
+                "--out", str(out),
+                "--drop-topics", str(drop),
+            )
+            assert rc == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["settings"]["drop_topics"] == [drop]
+            outlet = report["outlets"]["outlet_one"]
+            assert outlet["topics"]["kept"] == kept
+            assert sorted(outlet["correlations"]["topics"]) == [str(t) for t in kept]
+            assert [(g["topic"], g["lag"]) for g in outlet["granger"]] == [
+                (t, lag) for t in kept for lag in range(report["settings"]["max_lag"] + 1)
+            ]
 
     def test_invalid_override_rejected(self, run_dir, capsys):
         rc = invoke("run", "--config", str(run_dir / "config.yaml"), "--n-topics", "1")
@@ -197,9 +206,8 @@ class TestStageCommands:
         assert report["outlets"]["outlet_one"]["granger"] == []
         skips = [r.message for r in caplog.records if "fewer than 20" in r.message]
         assert skips == [
-            f"lags 0-5 skipped for series 'outlet_one/topic_{i}': "
+            "lags 0-5 skipped for series 'outlet_one/topic_0' (1 of 3 over the same days): "
             "fewer than 20 overlapping days"
-            for i in range(3)
         ]
 
     def test_causality_prints_cells(self, run_dir, capsys):

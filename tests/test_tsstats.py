@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -562,42 +563,77 @@ class TestGrangerScan:
     def test_planted_cell_is_most_significant(self):
         spread, coverage, tau = self.build_planted()
         out = granger_scan(spread, coverage, max_lag=10)
-        best = min(out, key=lambda r: r.p_value)
+        best = min((r for scan in out for r in scan), key=lambda r: r.p_value)
         assert (best.topic, best.lag) == (0, tau)
         assert best.p_value < 0.01
 
     def test_covers_every_cell(self):
         spread, coverage, _ = self.build_planted()
         out = granger_scan(spread, coverage, max_lag=4)
-        assert len(out) == 2 * 5
-        assert {(r.topic, r.lag) for r in out} == {
-            (t, l) for t in range(2) for l in range(5)
-        }
+        assert [[(r.topic, r.lag) for r in scan] for scan in out] == [
+            [(t, l) for l in range(5)] for t in range(2)
+        ]
 
     def test_empty_coverage(self):
         spread, _, _ = self.build_planted()
         assert granger_scan(spread, [], max_lag=4) == []
 
     def test_short_cells_skipped_with_one_warning_per_topic(self, caplog):
-        # The spread starts 25 days before the topics: after differencing,
-        # lag L overlaps on 34 - L days, so lags 15 and 16 fall short.
+        # The spread starts 25 days before topic_0 and 26 before topic_1:
+        # after differencing, lag L overlaps on 34 - L and 33 - L days, so
+        # lags 15-16 and 14-16 fall short.
         rng = np.random.default_rng(30)
         spread = series(rng.standard_normal(60), start=START - timedelta(days=25))
-        coverage = [series(rng.standard_normal(60), label=f"topic_{i}") for i in range(2)]
-        with caplog.at_level("WARNING", logger="newslens.tsstats"):
-            out = granger_scan(spread, coverage, max_lag=16)
-        assert [(r.topic, r.lag) for r in out] == [(t, l) for t in range(2) for l in range(15)]
-        assert [r.n_obs for r in out[:15]] == list(range(34, 19, -1))
-        skips = [r.message for r in caplog.records if "skipped" in r.message]
-        assert skips == [
-            f"lags 15-16 skipped for series 'topic_{i}': fewer than 20 overlapping days"
+        coverage = [
+            series(rng.standard_normal(60), start=START + timedelta(days=i), label=f"topic_{i}")
             for i in range(2)
         ]
+        with caplog.at_level("WARNING", logger="newslens.tsstats"):
+            out = granger_scan(spread, coverage, max_lag=16)
+        assert [[r.lag for r in scan] for scan in out] == [list(range(15)), list(range(14))]
+        assert [r.n_obs for r in out[0]] == list(range(34, 19, -1))
+        assert [r.n_obs for r in out[1]] == list(range(33, 19, -1))
+        skips = [r.message for r in caplog.records if "skipped" in r.message]
+        assert skips == [
+            "lags 15-16 skipped for series 'topic_0' (1 of 1 over the same days): "
+            "fewer than 20 overlapping days",
+            "lags 14-16 skipped for series 'topic_1' (1 of 1 over the same days): "
+            "fewer than 20 overlapping days",
+        ]
+
+    def test_series_over_the_same_days_share_one_warning(self, caplog):
+        rng = np.random.default_rng(30)
+        spread = series(rng.standard_normal(60), start=START - timedelta(days=25))
+        coverage = [series(rng.standard_normal(60), label=f"topic_{i}") for i in range(3)]
+        with caplog.at_level("WARNING", logger="newslens.tsstats"):
+            out = granger_scan(spread, coverage, max_lag=16)
+        assert [[(r.topic, r.lag) for r in scan] for scan in out] == [
+            [(t, l) for l in range(15)] for t in range(3)
+        ]
+        skips = [r.message for r in caplog.records if "skipped" in r.message]
+        assert skips == [
+            "lags 15-16 skipped for series 'topic_0' (1 of 3 over the same days): "
+            "fewer than 20 overlapping days"
+        ]
+
+    def test_joint_scan_equals_separate_scans(self):
+        # A series' cells do not depend on the other series in the call,
+        # whether or not they share its span; only ``topic`` differs.  The
+        # third series ends past the spread, so its lags 15-16 are skipped.
+        spread, coverage, _ = self.build_planted()
+        rng = np.random.default_rng(32)
+        coverage.append(series(rng.standard_normal(40), start=START + timedelta(days=125)))
+        joint = granger_scan(spread, coverage, max_lag=16)
+        assert [len(scan) for scan in joint] == [17, 17, 15]
+        for i, s in enumerate(coverage):
+            (alone,) = granger_scan(spread, [s], max_lag=16)
+            assert [replace(r, topic=0) for r in joint[i]] == alone
+            assert {r.topic for r in joint[i]} == {i}
 
     def test_no_cell_with_enough_overlap(self):
         rng = np.random.default_rng(31)
         spread = series(rng.standard_normal(60), start=START - timedelta(days=50))
-        assert granger_scan(spread, [series(rng.standard_normal(60))], max_lag=3) == []
+        assert granger_scan(spread, [series(rng.standard_normal(60))], max_lag=3) == [[]]
 
     def test_nonstationary_spread_warns(self, caplog):
         rng = np.random.default_rng(29)

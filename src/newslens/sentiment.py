@@ -22,7 +22,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import _lowered_tokens, Article, EntitySpec, named_entities, tokenize
+from .corpus import _lowered_tokens, Article, EntitySpec, tokenize
 from .series import DatedSeries, pooled_window_mean, window_mean
 from .vectorize import load_stopwords
 
@@ -163,13 +163,14 @@ def _score_tokens(toks: list[str], lexicon: Lexicon) -> str:
 _CLAUSE_SPLIT = re.compile(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", re.IGNORECASE)
 
 
-def _attribute(sent: str, named: list[EntitySpec]) -> list[tuple[EntitySpec, str]]:
-    """(entity, clause) mentions of one sentence that names several entities."""
+def _attribute(text: str, named: list[EntitySpec]) -> list[tuple[EntitySpec, str]]:
+    """(entity, clause) mentions of one NFC-normalized sentence naming several entities."""
     return [
         (e, clause)
-        for clause in map(str.strip, _CLAUSE_SPLIT.split(sent))
+        for clause in map(str.strip, _CLAUSE_SPLIT.split(text))
         if clause
-        for e in named_entities(clause, named)
+        for e in named
+        if e._pattern.search(clause)
     ]
 
 
@@ -259,9 +260,9 @@ def mention_records(
                 cls = given or _score_tokens(_lowered_tokens(text.lower()), lexicon)
                 records.append(MentionRecord(art.id, art.date, named[0].label, sent, cls))
                 continue
-            for entity, clause in _attribute(sent, named):
+            for entity, clause in _attribute(text, named):
                 missing += given is None
-                cls = given or score_sentence(clause, lexicon)
+                cls = given or _score_tokens(_lowered_tokens(clause.lower()), lexicon)
                 records.append(MentionRecord(art.id, art.date, entity.label, clause, cls))
     if labels is not None and missing:
         log.warning("%d mentions had no precomputed label; rule scorer used", missing)

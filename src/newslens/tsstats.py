@@ -19,7 +19,6 @@ __all__ = [
     "LagCorrelation",
     "lagged_correlation_scan",
     "MIN_LAG_OVERLAP",
-    "acf_pacf",
     "AdfResult",
     "adf_test",
     "GrangerResult",
@@ -244,49 +243,6 @@ def _permutation_hits(
         idx = rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
         hits += (np.abs((yc[idx] @ xc) / scale) >= bar).sum(axis=0)
     return hits
-
-
-# --- autocorrelation ------------------------------------------------------
-
-def acf_pacf(series: DatedSeries, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Autocorrelations and partial autocorrelations for lags 0..max_lag.
-
-    The ACF uses the biased estimator (denominator n); the PACF comes
-    from the Durbin-Levinson recursion, with pacf[0] = 1 by convention.
-    """
-    v = series.values
-    n = v.size
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    if max_lag >= n / 2:
-        raise ValueError(f"max_lag {max_lag} too large for length {n}")
-    centered = v - v.mean()
-    denom = float(centered @ centered)
-    if denom == 0.0:
-        raise ValueError("autocorrelation undefined for a constant series")
-    acf = np.empty(max_lag + 1)
-    acf[0] = 1.0
-    for k in range(1, max_lag + 1):
-        acf[k] = float(centered[:-k] @ centered[k:]) / denom
-
-    pacf = np.empty(max_lag + 1)
-    pacf[0] = 1.0
-    phi_prev = np.zeros(0)
-    for k in range(1, max_lag + 1):
-        if k == 1:
-            phi_k = np.array([acf[1]])
-        else:
-            num = acf[k] - float(phi_prev @ acf[k - 1 : 0 : -1])
-            den = 1.0 - float(phi_prev @ acf[1:k])
-            if den == 0.0:
-                raise ValueError(f"Durbin-Levinson recursion degenerate at lag {k}")
-            last = num / den
-            phi_k = np.empty(k)
-            phi_k[:-1] = phi_prev - last * phi_prev[::-1]
-            phi_k[-1] = last
-        pacf[k] = phi_k[-1]
-        phi_prev = phi_k
-    return acf, pacf
 
 
 # --- regression helpers ---------------------------------------------------

@@ -73,7 +73,7 @@ def test_every_module_level_name_is_read():
 UNREAD_EXPORTS = {
     "sentiment.tally_mentions": "acceptance criterion 01 calls it",
     "tsstats.spearman": "acceptance criterion 05 calls it",
-    "tsstats.acf_pacf": "kept until the stationarity diagnostics land (ROADMAP item 1)",
+    "sentiment.score_sentence": "the rule scorer's public entry; its tests and oracles call it",
 }
 
 

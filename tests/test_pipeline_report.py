@@ -189,9 +189,10 @@ class TestParseOnce:
     @pytest.mark.parametrize("body", [None, "Arden won, but Briggs, Jr. objected; Arden smiled."])
     def test_mention_reader_normalizes_each_sentence_once(self, tmp_path, monkeypatch, body):
         # Texts ``corpus`` and ``sentiment`` normalize while ``mention_records``
-        # runs: each sentence once, to match and (naming one entity) to score;
-        # each clause of a sentence naming several once to match and once
-        # more per mention scored from it.
+        # runs: each sentence once, to match and score it and to split it
+        # into clauses.  Each mention is scored from its lowered text (a
+        # sentence naming one entity, else a clause naming it), with no
+        # normalization of its own.
         path = build_run_dir(tmp_path)
         if body is not None:
             articles = tmp_path / "articles.jsonl"
@@ -203,7 +204,7 @@ class TestParseOnce:
         inside = []
         real_normalize = corpus.unicodedata.normalize
         real_reader = pipeline.mention_records
-        real_score = sentiment.score_sentence
+        real_tokens = sentiment._lowered_tokens
 
         def normalize(form, text):
             if inside:
@@ -217,32 +218,33 @@ class TestParseOnce:
             finally:
                 inside.pop()
 
-        def score(text, lexicon):
-            scored.append(text)
-            return real_score(text, lexicon)
+        def tokens(lowered):
+            scored.append(lowered)
+            return real_tokens(lowered)
 
         counting = SimpleNamespace(normalize=normalize)
         monkeypatch.setattr(corpus, "unicodedata", counting)
         monkeypatch.setattr(sentiment, "unicodedata", counting)
         monkeypatch.setattr(pipeline, "mention_records", reader)
-        monkeypatch.setattr(sentiment, "score_sentence", score)
+        monkeypatch.setattr(sentiment, "_lowered_tokens", tokens)
         state = run_pipeline(config, through="sentiment").state
 
-        sentences, clauses, clause_mentions, one_entity = [], [], [], 0
+        sentences, clauses, mentions = [], [], []
         for art in state.articles["outlet_one"]:
             for sent in art.sentences:
                 sentences.append(sent)
                 named = tuple(corpus.named_entities(sent, config.entities))
-                one_entity += len(named) == 1
-                if len(named) > 1:
+                if len(named) == 1:
+                    mentions.append(sent)
+                elif len(named) > 1:
                     parts = re.split(r"[,;]|\b(?:and|but|or|nor|yet|so)\b", sent)
                     parts = [c.strip() for c in parts if c.strip()]
                     clauses.extend(parts)
-                    clause_mentions.extend(c for c in parts for e in named if e.matches(c))
+                    mentions.extend(c for c in parts for e in named if e.matches(c))
         assert len(clauses) == (4 if body is not None else 0)
-        assert scored == clause_mentions  # a one-entity sentence is not scored apart
-        assert sorted(normalized) == sorted(sentences + clauses + clause_mentions)
-        assert len(state.outlets["outlet_one"].mentions) == one_entity + len(clause_mentions)
+        assert scored == [m.lower() for m in mentions]
+        assert normalized == sentences
+        assert len(state.outlets["outlet_one"].mentions) == len(mentions)
 
 
 class TestStageErrors:

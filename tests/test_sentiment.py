@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+import unicodedata
 from datetime import date
 
 import numpy as np
@@ -378,7 +379,7 @@ def reference_extract_mentions(article, entities):
         if len(named) == 1:
             out.append((idx, named[0], sent))
         elif len(named) > 1:
-            for clause in _REF_CLAUSE_SPLIT.split(sent):
+            for clause in _REF_CLAUSE_SPLIT.split(unicodedata.normalize("NFC", sent)):
                 clause = clause.strip()
                 if not clause:
                     continue
@@ -446,6 +447,20 @@ class TestOneMentionReader:
         # the sentence names Briggs, but no clause does
         assert series["Briggs"].values[0] == 1.0
         assert [r.entity for r in records] == ["Arden"]
+
+    def test_clauses_split_on_the_normalized_text(self, entity_pair):
+        # A decomposed "so\u0301" reads as the conjunction "so" in the raw
+        # text but not in its NFC form "s\u00f3", so either form gives one
+        # clause naming both entities.
+        composed = make_article(title="", body="Arden said s\u00f3 Briggs was awful.")
+        decomposed = make_article(title="", body="Arden said so\u0301 Briggs was awful.")
+        _, want = self.assert_matches_reference([composed], entity_pair, tiny_lexicon())
+        _, got = self.assert_matches_reference([decomposed], entity_pair, tiny_lexicon())
+        assert got == want
+        assert [(r.entity, r.sentence, r.sentiment) for r in got] == [
+            ("Arden", "Arden said s\u00f3 Briggs was awful.", "very_negative"),
+            ("Briggs", "Arden said s\u00f3 Briggs was awful.", "very_negative"),
+        ]
 
     def test_labels_with_gaps_warn_once(self, entity_pair, caplog):
         arts = [

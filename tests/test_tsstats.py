@@ -10,7 +10,6 @@ from newslens import tsstats
 from newslens.series import DatedSeries
 from newslens.tsstats import (
     _PERM_CHUNK,
-    acf_pacf,
     adf_test,
     first_difference,
     granger_beta,
@@ -382,52 +381,6 @@ class TestBatchedScanMatchesOracle:
             match=r"'outlet_b/mentions_Briggs' at lag 0: correlation undefined for a constant",
         ):
             lagged_correlation_scan([good, flat], y, 3, n_perm=9, seed=0)
-
-
-class TestAcfPacf:
-    def test_lag_zero_is_one(self):
-        rng = np.random.default_rng(15)
-        acf, pacf = acf_pacf(series(rng.random(30)), 5)
-        assert acf[0] == 1.0
-        assert pacf[0] == 1.0
-
-    def test_hand_case(self):
-        acf, pacf = acf_pacf(series([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), 2)
-        assert acf[1] == pytest.approx(0.5)
-        assert acf[2] == pytest.approx(1.0 / 17.5)
-        r1, r2 = acf[1], acf[2]
-        assert pacf[1] == pytest.approx(r1)
-        assert pacf[2] == pytest.approx((r2 - r1 * r1) / (1 - r1 * r1))
-
-    def test_ar1_signature(self):
-        rng = np.random.default_rng(16)
-        n = 2000
-        v = np.empty(n)
-        v[0] = rng.standard_normal()
-        for t in range(1, n):
-            v[t] = 0.7 * v[t - 1] + rng.standard_normal()
-        acf, pacf = acf_pacf(series(v), 6)
-        assert acf[1] == pytest.approx(0.7, abs=0.05)
-        assert pacf[1] == pytest.approx(0.7, abs=0.05)
-        assert abs(pacf[2]) < 0.05
-
-    def test_white_noise_acf_small(self):
-        rng = np.random.default_rng(17)
-        acf, _ = acf_pacf(series(rng.standard_normal(2000)), 20)
-        bound = 2.0 / math.sqrt(2000)
-        inside = np.sum(np.abs(acf[1:]) <= bound)
-        assert inside >= 18  # >= 90% of lags
-
-    def test_constant_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            acf_pacf(series([2.0] * 30), 3)
-
-    def test_max_lag_validation(self):
-        s = series(np.arange(10.0))
-        with pytest.raises(ValueError):
-            acf_pacf(s, 0)
-        with pytest.raises(ValueError):
-            acf_pacf(s, 5)
 
 
 class TestAdfTest:

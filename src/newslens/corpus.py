@@ -6,7 +6,7 @@ date, pollster, pct_a, pct_b.  ``named_entities`` is the one rule for
 which tracked entities a text names: NFC-normalize, then search each
 entity's pattern.  Ingest filtering uses it, and so does
 ``sentiment.mention_records``, which applies the same patterns to each
-sentence it has normalized once.
+sentence it has normalized once and to the clauses of that text.
 """
 
 from __future__ import annotations

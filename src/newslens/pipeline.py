@@ -214,10 +214,9 @@ def stage_sentiment(state: RunState) -> None:
 def _outlet_series(
     state: RunState, mentions: bool
 ) -> tuple[list[tuple[OutletResult, str | int]], list[DatedSeries]]:
-    """Every outlet's series, labelled ``<outlet>/<label>``, and each one's (outlet, key).
+    """All outlets' mention (if ``mentions``) and kept topic series, each with its (outlet, key).
 
-    Per outlet in name order: the mention series by entity label when
-    ``mentions`` is set, then the kept topic series by topic id.
+    Labels become ``<outlet>/<label>``, so a scan's warnings and errors name the outlet.
     """
     slots, series = [], []
     for outlet in sorted(state.articles):

@@ -208,7 +208,8 @@ def lagged_correlation_scan(
         xds = [linear_detrend(xs[i]) for i in members]
         rng = np.random.default_rng(seed)
         for lag, xi, yi in cells:
-            ry = _midranks(yd.values[yi])
+            yv = yd.values[yi]
+            ry = _midranks(yv)
             rxs = [_midranks(xd.values[xi]) for xd in xds]
             rhos = []
             for i, rx in zip(members, rxs):
@@ -219,7 +220,7 @@ def lagged_correlation_scan(
             hits = _permutation_hits(np.column_stack(rxs), ry, np.array(rhos), n_perm, rng)
             for i, rho, h in zip(members, rhos, hits):
                 p = (1 + int(h)) / (n_perm + 1)
-                out[i].append(LagCorrelation(lag=lag, rho=rho, p_value=p, n_obs=ry.size))
+                out[i].append(LagCorrelation(lag=lag, rho=rho, p_value=p, n_obs=yv.size))
     return out
 
 

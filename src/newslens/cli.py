@@ -61,18 +61,16 @@ def _print_validate(state: RunState) -> None:
     cfg = state.config
     print(f"config ok: {len(cfg.articles)} outlet(s), seed {cfg.seed}")
     print(f"polls: {len(state.polls)} records, spread span {len(state.spread)} days")
-    for outlet in sorted(state.articles):
-        arts = state.articles[outlet]
-        first = min(a.date for a in arts)
-        last = max(a.date for a in arts)
-        print(f"outlet {outlet}: {len(arts)} articles, {first} .. {last}")
+    for res in state.outlets.values():
+        first = min(a.date for a in res.articles)
+        last = max(a.date for a in res.articles)
+        print(f"outlet {res.outlet}: {res.n_articles} articles, {first} .. {last}")
 
 
 def _print_topics(state: RunState) -> None:
-    for outlet in sorted(state.outlets):
-        res = state.outlets[outlet]
+    for res in state.outlets.values():
         stop = "converged" if res.factors.converged else "iteration cap"
-        print(f"outlet {outlet}: reconstruction error {res.factors.final_error:.4f} "
+        print(f"outlet {res.outlet}: reconstruction error {res.factors.final_error:.4f} "
               f"after {res.factors.iterations} iterations ({stop})")
         for pos, topic_id in enumerate(res.coverage.topic_ids):
             words = ", ".join(res.keywords[topic_id][:8])
@@ -80,11 +78,10 @@ def _print_topics(state: RunState) -> None:
 
 
 def _print_sentiment(state: RunState) -> None:
-    for outlet in sorted(state.outlets):
-        res = state.outlets[outlet]
+    for res in state.outlets.values():
         b = res.sb_bootstrap
         print(
-            f"outlet {outlet}: SB {res.sb_overall.value:+.4f} "
+            f"outlet {res.outlet}: SB {res.sb_overall.value:+.4f} "
             f"({100 * b.level:g}% CI {b.ci_low:+.4f} .. {b.ci_high:+.4f}, "
             f"stderr {b.stderr:.4f}, {len(res.mentions)} mentions)"
         )
@@ -97,29 +94,27 @@ def _print_sentiment(state: RunState) -> None:
 
 
 def _print_correlate(state: RunState) -> None:
-    for outlet in sorted(state.outlets):
-        res = state.outlets[outlet]
+    for res in state.outlets.values():
         scans = [(f"mentions[{k}]", v) for k, v in sorted(res.mention_correlations.items())]
         scans += [(f"topic {k}", v) for k, v in sorted(res.topic_correlations.items())]
         for name, cells in scans:
             if not cells:
                 print(
-                    f"outlet {outlet} {name}: "
+                    f"outlet {res.outlet} {name}: "
                     f"no lag with at least {MIN_LAG_OVERLAP} overlapping days"
                 )
                 continue
             best = max(cells, key=lambda c: abs(c.rho))
             print(
-                f"outlet {outlet} {name}: "
+                f"outlet {res.outlet} {name}: "
                 f"max |rho| {best.rho:+.3f} at lag {best.lag} (p={best.p_value:.4f})"
             )
 
 
 def _print_causality(state: RunState) -> None:
-    for outlet in sorted(state.outlets):
-        res = state.outlets[outlet]
+    for res in state.outlets.values():
         hits = [g for g in res.granger if g.significant]
-        print(f"outlet {outlet}: {len(hits)} significant (topic, lag) cells "
+        print(f"outlet {res.outlet}: {len(hits)} significant (topic, lag) cells "
               f"at p < {GRANGER_ALPHA:g}")
         for g in sorted(hits, key=lambda g: g.p_value)[:10]:
             print(

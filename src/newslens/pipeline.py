@@ -8,6 +8,7 @@ a PipelineError naming the stage.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -66,10 +67,10 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class OutletResult:
-    """Everything computed for one outlet."""
+    """Everything computed for one outlet, from its kept articles."""
 
     outlet: str
-    n_articles: int
+    articles: list[Article]
     factors: NmfFactors | None = None
     keywords: list[list[str]] = field(default_factory=list)
     coverage: TopicCoverage | None = None
@@ -84,15 +85,21 @@ class OutletResult:
     topic_correlations: dict[int, list[LagCorrelation]] = field(default_factory=dict)
     granger: list[GrangerResult] = field(default_factory=list)
 
+    @property
+    def n_articles(self) -> int:
+        return len(self.articles)
+
 
 @dataclass
 class RunState:
-    """Accumulated pipeline state; stages fill it in order."""
+    """Accumulated pipeline state; stages fill it in order.
+
+    ``outlets`` is in outlet name order, set once by ``stage_ingest``.
+    """
 
     config: PipelineConfig
     polls: list[PollRecord] = field(default_factory=list)
     spread: DatedSeries | None = None
-    articles: dict[str, list[Article]] = field(default_factory=dict)
     lexicon: Lexicon | None = None
     labels: dict[tuple[str, int], str] | None = None
     stopwords: frozenset[str] = frozenset()
@@ -114,24 +121,21 @@ class ReportBundle:
 
 # --- stages -----------------------------------------------------------------
 
-def _stage(name: str):
-    def wrap(fn):
-        def inner(state: RunState) -> RunState:
-            try:
-                fn(state)
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(name, exc) from exc
-            return state
+def _stage(fn):
+    """Raise any failure of stage ``fn`` as a PipelineError naming it."""
+    name = fn.__name__.removeprefix("stage_")
 
-        inner.__name__ = fn.__name__
-        return inner
+    @functools.wraps(fn)
+    def inner(state: RunState) -> None:
+        try:
+            fn(state)
+        except Exception as exc:
+            raise PipelineError(name, exc) from exc
 
-    return wrap
+    return inner
 
 
-@_stage("ingest")
+@_stage
 def stage_ingest(state: RunState) -> None:
     cfg = state.config
     state.polls = load_polls(cfg.polls)
@@ -155,59 +159,51 @@ def stage_ingest(state: RunState) -> None:
         state.lexicon = default_lexicon()
     state.labels = load_labels(cfg.labels) if cfg.labels is not None else None
     for outlet, path in sorted(cfg.articles.items()):
-        arts = load_articles(path, cfg.entities)
-        state.articles[outlet] = arts
-        state.outlets[outlet] = OutletResult(outlet=outlet, n_articles=len(arts))
-        log.info("outlet %s: %d articles kept", outlet, len(arts))
+        res = state.outlets[outlet] = OutletResult(outlet, load_articles(path, cfg.entities))
+        log.info("outlet %s: %d articles kept", outlet, res.n_articles)
 
 
-@_stage("topics")
+@_stage
 def stage_topics(state: RunState) -> None:
     cfg = state.config
-    for outlet, arts in sorted(state.articles.items()):
-        matrix = tfidf_matrix(arts, state.stopwords, cfg.min_df)
-        factors = nmf_factorize(matrix, cfg.n_topics)
-        coverage = topic_weight_series(
-            factors,
-            arts,
+    for res in state.outlets.values():
+        matrix = tfidf_matrix(res.articles, state.stopwords, cfg.min_df)
+        res.factors = nmf_factorize(matrix, cfg.n_topics)
+        res.coverage = topic_weight_series(
+            res.factors,
+            res.articles,
             window_days=cfg.window_days,
             mode=cfg.normalization,
             drop=cfg.drop_topics,
         )
-        res = state.outlets[outlet]
-        res.factors = factors
-        res.keywords = top_keywords(factors, cfg.keywords_per_topic)
-        res.coverage = coverage
-        res.agenda = agenda_profile(coverage)
+        res.keywords = top_keywords(res.factors, cfg.keywords_per_topic)
+        res.agenda = agenda_profile(res.coverage)
 
 
-@_stage("sentiment")
+@_stage
 def stage_sentiment(state: RunState) -> None:
     cfg = state.config
     label_a, label_b = cfg.entities[0].label, cfg.entities[1].label
-    for outlet, arts in sorted(state.articles.items()):
-        res = state.outlets[outlet]
+    for res in state.outlets.values():
         res.mention_series, res.mentions = mention_records(
-            arts, cfg.entities, state.lexicon, state.labels, cfg.window_days
+            res.articles, cfg.entities, state.lexicon, state.labels, cfg.window_days
         )
         if not res.mentions:
-            raise ValueError(f"outlet {outlet}: no entity mentions extracted")
+            raise ValueError(f"outlet {res.outlet}: no entity mentions extracted")
         codes = tally_codes(res.mentions, label_a, label_b)
         tally = SentimentTally.from_codes(label_a, label_b, codes)
         res.sb_overall = sentiment_bias(tally)
         res.sb_daily = sb_series(res.mentions, codes, cfg.window_days)
-        if res.factors is not None:
-            by_topic = per_topic_sb(
-                res.mentions,
-                codes,
-                res.factors,
-                label_a,
-                label_b,
-                cfg.membership_threshold,
-                cfg.min_topic_mentions,
-            )
-            kept = res.coverage.topic_ids if res.coverage else range(len(by_topic))
-            res.sb_by_topic = [by_topic[i] for i in kept]
+        by_topic = per_topic_sb(
+            res.mentions,
+            codes,
+            res.factors,
+            label_a,
+            label_b,
+            cfg.membership_threshold,
+            cfg.min_topic_mentions,
+        )
+        res.sb_by_topic = [by_topic[i] for i in res.coverage.topic_ids]
         res.sb_bootstrap = bootstrap_sb(tally, cfg.bootstrap_b, cfg.bootstrap_gamma, cfg.seed)
 
 
@@ -219,18 +215,16 @@ def _outlet_series(
     Labels become ``<outlet>/<label>``, so a scan's warnings and errors name the outlet.
     """
     slots, series = [], []
-    for outlet in sorted(state.articles):
-        res = state.outlets[outlet]
+    for res in state.outlets.values():
         named = sorted(res.mention_series.items()) if mentions else []
-        if res.coverage is not None:
-            named += zip(res.coverage.topic_ids, res.coverage.topics)
+        named += zip(res.coverage.topic_ids, res.coverage.topics)
         for key, s in named:
             slots.append((res, key))
-            series.append(s.with_values(s.values, label=f"{outlet}/{s.label}"))
+            series.append(s.with_values(s.values, label=f"{res.outlet}/{s.label}"))
     return slots, series
 
 
-@_stage("correlate")
+@_stage
 def stage_correlate(state: RunState) -> None:
     cfg = state.config
     # One scan over every series of every outlet, so series over the same
@@ -242,7 +236,7 @@ def stage_correlate(state: RunState) -> None:
         target[key] = scan
 
 
-@_stage("causality")
+@_stage
 def stage_causality(state: RunState) -> None:
     # One scan over every outlet's kept topics, so the shared spread is
     # differenced and unit-root checked once.

@@ -132,7 +132,7 @@ def report_dict(bundle: ReportBundle) -> dict:
         "rng": "numpy-pcg64",
         "settings": _record(state.config, _SETTING_KEYS),
         "polls": {"records": len(state.polls), "spread": _value(state.spread)},
-        "outlets": {name: _outlet_record(state.outlets[name]) for name in sorted(state.outlets)},
+        "outlets": {res.outlet: _outlet_record(res) for res in state.outlets.values()},
     }
 
 
@@ -164,9 +164,8 @@ def _render(bundle: ReportBundle) -> dict[str, str]:
     table: list[tuple[str, list[DatedSeries], str, str]] = []
     if state.spread is not None:
         table.append(("spread", [state.spread], "Poll spread (A - B)", "points"))
-    for name in sorted(state.outlets):
-        res = state.outlets[name]
-        tag = outlet_slug(name)
+    for res in state.outlets.values():
+        name, tag = res.outlet, outlet_slug(res.outlet)
         if res.mention_series:
             cols = [res.mention_series[k] for k in sorted(res.mention_series)]
             table.append((f"mentions_{tag}", cols, f"Daily entity mentions: {name}", "sentences"))

@@ -230,7 +230,7 @@ class TestParseOnce:
         state = run_pipeline(config, through="sentiment").state
 
         sentences, clauses, mentions = [], [], []
-        for art in state.articles["outlet_one"]:
+        for art in state.outlets["outlet_one"].articles:
             for sent in art.sentences:
                 sentences.append(sent)
                 named = tuple(corpus.named_entities(sent, config.entities))

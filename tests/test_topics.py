@@ -534,7 +534,7 @@ class TestNmfErrorsMatchOracle:
     def test_doc_term_matrix(self, tmp_path):
         cfg = load_config(build_run_dir(tmp_path))
         state = run_pipeline(cfg, through="ingest").state
-        arts = state.articles["outlet_one"]
+        arts = state.outlets["outlet_one"].articles
         dtm = tfidf_matrix(arts, state.stopwords, cfg.min_df)
         self.check(dtm, n_topics=4)
 
@@ -791,7 +791,7 @@ class TestTopicWeightSeries:
         state = run_pipeline(cfg, through="topics").state
         cases = [
             (random_factors, arts),
-            (state.outlets["outlet_one"].factors, state.articles["outlet_one"]),
+            (state.outlets["outlet_one"].factors, state.outlets["outlet_one"].articles),
         ]
         for factors, articles in cases:
             cov = topic_weight_series(factors, articles, mode="none")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
@@ -73,7 +74,9 @@ class PipelineConfig:
         a, b = self.entities
         if a.label == b.label:
             raise ValueError("config: entity labels must differ")
-        shared = {al.lower() for al in a.aliases} & {al.lower() for al in b.aliases}
+        # Entity patterns match NFC text, so aliases equal after NFC match the same words.
+        folded = [{unicodedata.normalize("NFC", al).lower() for al in e.aliases} for e in (a, b)]
+        shared = folded[0] & folded[1]
         if shared:
             raise ValueError(f"config: entities share aliases {sorted(shared)}")
         if self.n_topics < 2:
@@ -84,7 +87,7 @@ class PipelineConfig:
                 f"must be one of {', '.join(NORMALIZATION_MODES)}, got {self.normalization!r}",
             )
         lows = {
-            "window_days": 1, "max_lag": 0, "min_df": 1, "keywords_per_topic": 1,
+            "seed": 0, "window_days": 1, "max_lag": 0, "min_df": 1, "keywords_per_topic": 1,
             "n_perm": 1, "bootstrap_b": 2, "min_topic_mentions": 1,
         }
         for name, low in lows.items():
@@ -221,9 +224,11 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
             if body is not None and not isinstance(body, dict):
                 raise ValueError(f"{path}: {name!r} must be a mapping, got {type(body).__name__}")
             sections[name] = body or {}
-    listed = {dotted for dotted, _ in _SCHEMA.values()} | set(sections) - {""}
-    found = [f"{name}.{key}".removeprefix(".") for name, body in sections.items() for key in body]
-    unknown = [dotted for dotted in found if dotted not in listed]
+    # (section, key) pairs: a dotted key at the top level names no section's key.
+    listed = {dotted.rpartition(".")[::2] for dotted, _ in _SCHEMA.values()}
+    listed |= {("", name) for name in sections if name}
+    found = [(name, key) for name, body in sections.items() for key in body]
+    unknown = [f"{s}.{k}".removeprefix(".") for s, k in found if (s, k) not in listed]
     if unknown:
         raise ValueError(f"{path}: unknown config keys {', '.join(map(repr, unknown))}")
 

@@ -81,6 +81,18 @@ class TestLoadConfig:
             load_config(p)
         assert str(exc_info.value) == f"{p}: unknown config keys '', 'a, b', 'analysis.'"
 
+    def test_dotted_key_at_top_level_rejected(self, tmp_path):
+        # A section's key written at the top level sets nothing.
+        mapping = base_mapping(tmp_path)
+        mapping["analysis.max_lag"] = 3
+        mapping["topics.count"] = 9
+        p = write_yaml(tmp_path, mapping)
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p)
+        assert str(exc_info.value) == (
+            f"{p}: unknown config keys 'analysis.max_lag', 'topics.count'"
+        )
+
     def test_readme_example_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
@@ -237,6 +249,16 @@ class TestPipelineConfigValidation:
         with pytest.raises(ValueError, match="share"):
             PipelineConfig(**self.kwargs(tmp_path, entities=entities))
 
+    def test_aliases_equal_after_nfc_rejected(self, tmp_path):
+        # Entity patterns match NFC text, so a composed and a decomposed
+        # spelling of one alias match the same words.
+        entities = (
+            EntitySpec(label="A", aliases=("Caf\u00e9",)),
+            EntitySpec(label="B", aliases=("CAFE\u0301", "Jones")),
+        )
+        with pytest.raises(ValueError, match="share aliases \\['caf\u00e9'\\]"):
+            PipelineConfig(**self.kwargs(tmp_path, entities=entities))
+
     def test_bounds(self, tmp_path):
         with pytest.raises(ValueError, match="n_topics"):
             PipelineConfig(**self.kwargs(tmp_path, n_topics=1))
@@ -308,6 +330,7 @@ class TestPipelineConfigValidation:
             ("topics", "min_df", 0, "must be >= 1, got 0"),
             ("topics", "keywords", 0, "must be >= 1, got 0"),
             (None, "window_days", 0, "must be >= 1, got 0"),
+            (None, "seed", -1, "must be >= 0, got -1"),
             ("bootstrap", "samples", 1, "must be >= 2, got 1"),
             ("bootstrap", "level", 1.5, "must be in (0, 1), got 1.5"),
             ("sentiment", "membership_threshold", 0.0, "must be in (0, 1], got 0.0"),

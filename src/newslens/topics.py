@@ -463,24 +463,10 @@ def topic_weight_series(
     )
     smoothed = window_mean(raw[kept], np.ones(n_days), window_days)
 
-    if mode == "per_day_share":
-        denom = smoothed.sum(axis=0)
-        out = np.divide(
-            smoothed,
-            denom[None, :],
-            out=np.zeros_like(smoothed),
-            where=denom[None, :] > 0,
-        )
-    elif mode == "per_topic_area":
-        area = smoothed.sum(axis=1)
-        out = np.divide(
-            smoothed,
-            area[:, None],
-            out=np.zeros_like(smoothed),
-            where=area[:, None] > 0,
-        )
-    else:
-        out = smoothed
+    out = smoothed
+    if mode != "none":
+        total = smoothed.sum(axis=0 if mode == "per_day_share" else 1, keepdims=True)
+        out = np.divide(smoothed, total, out=np.zeros_like(smoothed), where=total > 0)
 
     topics = tuple(
         DatedSeries(first, out[pos], label=f"topic_{i}")

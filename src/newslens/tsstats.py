@@ -131,21 +131,18 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc @ yc) / np.sqrt(sxx * syy))
 
 
-def _spearman_values(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 3:
-        raise ValueError(f"need at least 3 pairs, got {x.size}")
-    return _pearson(_midranks(x), _midranks(y))
-
-
 def spearman(x: DatedSeries, y: DatedSeries) -> float:
     """Spearman rank correlation with mid-rank tie handling.
 
     Operates on the values positionally; the two series must have equal
     length.  Constant inputs raise ValueError.
     """
-    return _spearman_values(np.asarray(x.values), np.asarray(y.values))
+    x, y = np.asarray(x.values), np.asarray(y.values)
+    if x.size != y.size:
+        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    if x.size < 3:
+        raise ValueError(f"need at least 3 pairs, got {x.size}")
+    return _pearson(_midranks(x), _midranks(y))
 
 
 @dataclass(frozen=True)

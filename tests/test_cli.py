@@ -4,6 +4,8 @@ from datetime import date, timedelta
 import pytest
 
 from newslens.cli import main
+from newslens.config import load_config
+from newslens.pipeline import run_pipeline
 
 from conftest import build_run_dir
 
@@ -125,6 +127,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"error: {config}: max_lag must be >= 0, got -1\n"
 
+    def test_negative_seed_names_config(self, run_dir, capsys):
+        config = run_dir / "config.yaml"
+        rc = invoke("validate", "--config", str(config), "--seed", "-1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: seed must be >= 0, got -1\n"
+
     def test_malformed_drop_topics_names_flag(self, run_dir, capsys):
         with pytest.raises(SystemExit) as exc_info:
             invoke("validate", "--config", str(run_dir / "config.yaml"), "--drop-topics", "a")
@@ -214,6 +223,53 @@ class TestStageCommands:
         rc = invoke("causality", "--config", str(run_dir / "config.yaml"))
         assert rc == 0
         assert "significant (topic, lag) cells" in capsys.readouterr().out
+
+
+class TestOutletOrder:
+    # Outlets come out in name order, whatever order the config lists them in.
+    NAMES = ["outlet_a", "outlet_b"]
+
+    @staticmethod
+    def write_config(root, names) -> str:
+        """A config over the outlets built under ``root``, listed in the order of ``names``."""
+        text = (root / "outlet_a" / "config.yaml").read_text(encoding="utf-8")
+        listed = "".join(f"  {name}: {name}/articles.jsonl\n" for name in names)
+        path = root / f"config_{'_'.join(names)}.yaml"
+        path.write_text(
+            text.replace("  outlet_a: articles.jsonl\n", listed)
+            .replace("polls: polls.csv", "polls: outlet_a/polls.csv"),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        for days, name in zip([45, 40], self.NAMES):
+            (tmp_path / name).mkdir()
+            build_run_dir(tmp_path / name, days=days, outlet=name)
+        return self.write_config(tmp_path, self.NAMES[::-1])
+
+    def test_ingest_orders_outlets_by_name(self, config):
+        cfg = load_config(config)
+        assert list(cfg.articles) == self.NAMES[::-1]
+        assert list(run_pipeline(cfg, through="ingest").state.outlets) == self.NAMES
+
+    @pytest.mark.parametrize("command", ["validate", "causality"])
+    def test_commands_print_outlets_in_name_order(self, config, tmp_path, capsys, command):
+        assert invoke(command, "--config", config, "--out", str(tmp_path / "out")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = [line.split()[1].rstrip(":") for line in lines if line.startswith("outlet ")]
+        assert printed == self.NAMES
+
+    def test_outputs_do_not_depend_on_listed_order(self, config, tmp_path):
+        in_name_order = self.write_config(tmp_path, self.NAMES)
+        manifests = []
+        for cfg, out in [(config, tmp_path / "listed"), (in_name_order, tmp_path / "sorted")]:
+            assert invoke("run", "--config", cfg, "--out", str(out)) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text())["files"])
+        assert manifests[0] == manifests[1]
+        report = (tmp_path / "listed" / "report.json").read_bytes()
+        assert report == (tmp_path / "sorted" / "report.json").read_bytes()
 
 
 class TestFixtureCommand:

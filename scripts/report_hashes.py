@@ -3,33 +3,29 @@
     python3 scripts/report_hashes.py
 
 Run from anywhere inside a source checkout; it takes no options.  BLAS
-pools are pinned to one thread before numpy loads, so the hashes match
-across hosts.  Inputs are built in a temporary directory and removed.
-Each line reads ``<name> <sha256>``; a change that only simplifies keeps
-all four lines.
+pools are pinned to one thread, as the benchmark pins them, before numpy
+loads.  Inputs are built in a temporary directory and removed.  Each line
+reads ``<name> <sha256>``; a change that only simplifies keeps all four.
 """
 
+import hashlib
 import os
-
-for var in (
-    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS",
-):
-    os.environ[var] = "1"
-
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+import tempfile
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from newslens.config import load_config  # noqa: E402
-from newslens.fixture import generate_fixture  # noqa: E402
-from newslens.pipeline import run_pipeline  # noqa: E402
-from newslens.report import emit_outputs  # noqa: E402
-from workloads import NAMES, build  # noqa: E402
+from run import THREAD_VARS  # the benchmark runner; imports no numpy
+
+os.environ.update(THREAD_VARS)
+
+from newslens.config import load_config
+from newslens.fixture import generate_fixture
+from newslens.pipeline import run_pipeline
+from newslens.report import emit_outputs
+from workloads import NAMES, build
 
 SEED = 11
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from datetime import timedelta
-from xml.sax.saxutils import escape
+from html import escape
 
 from .series import DatedSeries
 
@@ -83,7 +83,7 @@ def line_chart(
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">'
-        f"{escape(title)}</text>",
+        f"{escape(title, quote=False)}</text>",
     ]
     # axes
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
@@ -118,7 +118,7 @@ def line_chart(
         parts.append(
             f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
             f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">'
-            f"{escape(y_label)}</text>"
+            f"{escape(y_label, quote=False)}</text>"
         )
     # data
     for k, s in enumerate(series):
@@ -142,7 +142,7 @@ def line_chart(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 22}" y="{ly}">{escape(label)}</text>')
+        parts.append(f'<text x="{lx + 22}" y="{ly}">{escape(label, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -174,7 +174,7 @@ def radar_chart(
         f'viewBox="0 0 {size} {size}" font-family="sans-serif" font-size="12">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
         f'<text x="{cx:.1f}" y="20" text-anchor="middle" font-size="15">'
-        f"{escape(title)}</text>",
+        f"{escape(title, quote=False)}</text>",
     ]
     for ring in (0.25, 0.5, 0.75, 1.0):
         pts = " ".join(
@@ -196,7 +196,7 @@ def radar_chart(
             anchor = "end"
         parts.append(
             f'<text x="{lx:.1f}" y="{ly + 4:.1f}" text-anchor="{anchor}">'
-            f"{escape(lab)}</text>"
+            f"{escape(lab, quote=False)}</text>"
         )
     pts = " ".join(
         f"{x:.2f},{y:.2f}"

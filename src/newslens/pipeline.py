@@ -2,13 +2,13 @@
 
 Stages are plain functions over a shared mutable RunState, run in the
 order of STAGES.  ``run_pipeline(config, through=stage)`` runs the prefix
-ending at ``stage`` (all of them by default); a stage failure surfaces as
-a PipelineError naming the stage.
+ending at ``stage`` (all of them by default) and is the one place a stage
+runs: it raises a stage's failure as a PipelineError naming the stage.
+Called directly, a stage raises its own error.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -121,31 +121,17 @@ class ReportBundle:
 
 # --- stages -----------------------------------------------------------------
 
-def _stage(fn):
-    """Raise any failure of stage ``fn`` as a PipelineError naming it."""
-    name = fn.__name__.removeprefix("stage_")
-
-    @functools.wraps(fn)
-    def inner(state: RunState) -> None:
-        try:
-            fn(state)
-        except Exception as exc:
-            raise PipelineError(name, exc) from exc
-
-    return inner
-
-
-@_stage
 def stage_ingest(state: RunState) -> None:
     cfg = state.config
     state.polls = load_polls(cfg.polls)
     state.spread = daily_spread(state.polls, cfg.window_days)
     # The lag scan needs max_lag < half the spread; check it before the
     # topic and sentiment stages spend their time.
-    if cfg.max_lag >= len(state.spread) / 2:
+    n = len(state.spread)
+    if cfg.max_lag >= n / 2:
         raise ValueError(
-            f"max_lag {cfg.max_lag} too large for a poll spread of "
-            f"{len(state.spread)} days; it must be below half of it"
+            f"analysis.max_lag (--max-lag) is {cfg.max_lag}, too large for the {n}-day "
+            f"poll spread of {cfg.polls}; it must be at most {(n - 1) // 2}"
         )
     if cfg.stopwords is not None:
         state.stopwords = load_stopwords(cfg.stopwords)
@@ -163,7 +149,6 @@ def stage_ingest(state: RunState) -> None:
         log.info("outlet %s: %d articles kept", outlet, res.n_articles)
 
 
-@_stage
 def stage_topics(state: RunState) -> None:
     cfg = state.config
     for res in state.outlets.values():
@@ -180,7 +165,6 @@ def stage_topics(state: RunState) -> None:
         res.agenda = agenda_profile(res.coverage)
 
 
-@_stage
 def stage_sentiment(state: RunState) -> None:
     cfg = state.config
     label_a, label_b = cfg.entities[0].label, cfg.entities[1].label
@@ -224,7 +208,6 @@ def _outlet_series(
     return slots, series
 
 
-@_stage
 def stage_correlate(state: RunState) -> None:
     cfg = state.config
     # One scan over every series of every outlet, so series over the same
@@ -236,7 +219,6 @@ def stage_correlate(state: RunState) -> None:
         target[key] = scan
 
 
-@_stage
 def stage_causality(state: RunState) -> None:
     # One scan over every outlet's kept topics, so the shared spread is
     # differenced and unit-root checked once.
@@ -256,8 +238,12 @@ def run_pipeline(config: PipelineConfig, through: str = "causality") -> ReportBu
         raise ValueError(f"unknown stage {through!r}; expected one of {', '.join(STAGES)}")
     t0 = time.monotonic()
     state = RunState(config=config)
-    # Looked up at call time, so a wrapper patched over a stage_* name runs.
+    # Looked up at call time, so a wrapper patched over a stage_* name runs;
+    # the name comes from STAGES, so such a wrapper cannot rename the stage.
     stages = (stage_ingest, stage_topics, stage_sentiment, stage_correlate, stage_causality)
-    for stage in stages[: STAGES.index(through) + 1]:
-        stage(state)
+    for name, stage in zip(STAGES[: STAGES.index(through) + 1], stages):
+        try:
+            stage(state)
+        except Exception as exc:
+            raise PipelineError(name, exc) from exc
     return ReportBundle(state=state, runtime_seconds=time.monotonic() - t0)

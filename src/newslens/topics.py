@@ -203,7 +203,10 @@ def nmf_factorize(
     # H is held transposed, k x docs, so that each topic's loadings are one
     # contiguous row.  Besides the accepted H and W there is one spare of
     # each, plus W_new: at the top of an iteration the spares hold H_old and
-    # W_raw, which Hy and Wy overwrite; H's spare then takes H_new.
+    # W_raw, which Hy and Wy overwrite; H's spare then takes H_new.  Fresh
+    # arrays in every iteration keep every byte and the fit's CPU time, but
+    # raised peak RSS: corpus_12k to 83.5-83.6 MiB in 3 of 8 runs, and
+    # outlets3_k12 from 82.4-82.5 to 83.2-89.9 MiB.
     ht, w = _nndsvd_start(x, n_topics)
     # Scaling both factors by s scales <X, HW> by s^2 and ||HW||^2 by s^4.
     cross = float(np.trace(ht @ np.asarray(x @ w.T)))

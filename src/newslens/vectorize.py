@@ -134,7 +134,10 @@ def tfidf_matrix(
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # Each (doc, term) pair is a run of equal sorted keys; its first
-    # element is the pair's first occurrence.
+    # element is the pair's first occurrence.  np.unique(keys,
+    # return_index=True, return_counts=True) gives the same arrays and
+    # report bytes, but raised corpus_12k peak RSS from 78.7-78.9 to
+    # 84.6-84.9 MiB (6 runs each), so the runs are found by hand.
     run_start = np.empty(len(keys), dtype=bool)
     run_start[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
@@ -161,14 +164,13 @@ def tfidf_matrix(
     pair_doc = pair_doc[in_vocab]
     weights = tf[in_vocab] * idf[indices]
     del tf
-    # np.add.at accumulates unbuffered in index order; taking the pairs
-    # by first occurrence makes each row's sum the sequential one.
+    # np.bincount adds each weight to its bin in turn, from 0.0; taking the
+    # pairs by first occurrence makes each row's sum the sequential one.
     by_first = np.argsort(first[in_vocab])
     del first, in_vocab
     squares = weights[by_first]
     squares *= squares
-    sum_sq = np.zeros(n_docs)
-    np.add.at(sum_sq, pair_doc[by_first], squares)
+    sum_sq = np.bincount(pair_doc[by_first], weights=squares, minlength=n_docs)
     del by_first, squares
     weights /= np.sqrt(sum_sq)[pair_doc]
 

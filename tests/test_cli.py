@@ -65,7 +65,7 @@ class TestValidate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "ingest" in err
-        assert "failed: max_lag 40 too large for a poll spread of" in err
+        assert "failed: analysis.max_lag (--max-lag) is 40, too large for the " in err
 
 
 class TestRun:

@@ -99,10 +99,12 @@ def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs most of the package's import time, and
     # scipy.sparse.linalg (only the NMF start's svds route needs it) about
     # half a second; nothing on the CLI's import path may pull either in.
+    # Nor xml.sax or urllib.request: chart text is escaped with html.escape.
     env = dict(os.environ, PYTHONPATH=str(Path(newslens.__file__).parent.parent))
     code = (
         "import sys, newslens.cli, newslens.pipeline; "
-        "print([m for m in ('scipy.stats', 'scipy.sparse.linalg') if m in sys.modules])"
+        "print([m for m in ('scipy.stats', 'scipy.sparse.linalg', 'urllib.request', 'xml.sax')"
+        " if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

@@ -263,6 +263,19 @@ class TestStageErrors:
             run_pipeline(cfg)
         assert exc_info.value.stage == "topics"
 
+    def test_runner_names_the_stage_not_the_function(self, tmp_path, monkeypatch):
+        # A wrapper patched over stage_topics keeps the stage's name.
+        boom = ValueError("boom")
+
+        def patched(state):
+            raise boom
+
+        monkeypatch.setattr("newslens.pipeline.stage_topics", patched)
+        with pytest.raises(PipelineError, match="topics") as exc_info:
+            run_pipeline(load_config(build_run_dir(tmp_path)))
+        assert exc_info.value.stage == "topics"
+        assert exc_info.value.cause is boom
+
     def test_constant_series_named_by_outlet_label_and_lag(self, tmp_path):
         # An outlet that never names Briggs has a constant mention series.
         cfg_path = build_run_dir(tmp_path)
@@ -287,7 +300,8 @@ class TestStageErrors:
             run_pipeline(cfg)
         assert exc_info.value.stage == "ingest"
         assert str(exc_info.value.cause) == (
-            f"max_lag {half} too large for a poll spread of {n} days; it must be below half of it"
+            f"analysis.max_lag (--max-lag) is {half}, too large for the {n}-day "
+            f"poll spread of {cfg.polls}; it must be at most {half - 1}"
         )
 
     def test_stage_prefix_composes(self, tmp_path):

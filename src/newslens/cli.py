@@ -17,8 +17,22 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
+
+# BLAS and OpenMP pools of one thread each, unless the environment sizes
+# them: a run is no slower so, unpinned pools can stall a small eigh for
+# 0.4 s, and only a process of one thread fits topics in a forked worker
+# (pipeline.run_pipeline).  Pools are sized when numpy loads, so this must
+# come before the imports below; once numpy is loaded it would change nothing.
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS",
+)
+if "numpy" not in sys.modules:
+    for _var in BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
 
 from .config import PipelineConfig, load_config
 from .fixture import FixtureSpec, generate_fixture

@@ -9,9 +9,15 @@ Called directly, a stage raises its own error.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
+import pickle
+import signal
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -165,13 +171,20 @@ def stage_topics(state: RunState) -> None:
         res.agenda = agenda_profile(res.coverage)
 
 
+def _read_mentions(state: RunState, res: OutletResult) -> None:
+    cfg = state.config
+    res.mention_series, res.mentions = mention_records(
+        res.articles, cfg.entities, state.lexicon, state.labels, cfg.window_days
+    )
+
+
 def stage_sentiment(state: RunState) -> None:
     cfg = state.config
     label_a, label_b = cfg.entities[0].label, cfg.entities[1].label
     for res in state.outlets.values():
-        res.mention_series, res.mentions = mention_records(
-            res.articles, cfg.entities, state.lexicon, state.labels, cfg.window_days
-        )
+        # Outlets the runner read beside the topics stage have their series.
+        if not res.mention_series:
+            _read_mentions(state, res)
         if not res.mentions:
             raise ValueError(f"outlet {res.outlet}: no entity mentions extracted")
         codes = tally_codes(res.mentions, label_a, label_b)
@@ -228,11 +241,115 @@ def stage_causality(state: RunState) -> None:
         res.granger.extend(replace(g, topic=topic_id) for g in cells)
 
 
+# --- the topics stage beside mention reading ----------------------------------
+
+def _worker_usable(names: tuple[str, ...]) -> bool:
+    """Whether the runner may fit topics in a forked child while it reads mentions.
+
+    Only when the sentiment stage runs too, with two CPUs to run on, and in
+    a process of one OS thread: a child forked from a threaded process (one
+    whose BLAS pools are not pinned to one thread) can deadlock on a lock
+    another thread held.
+    """
+    if "sentiment" not in names or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+@contextlib.contextmanager
+def _held_log_records() -> Iterator[list[logging.LogRecord]]:
+    """Collect the log records made inside the block instead of handling them.
+
+    ``logging.getLogger(record.name).handle(record)`` handles one later.
+    Loggers are patched process-wide, so the process must have one thread.
+    """
+    held: list[logging.LogRecord] = []
+    handle = logging.Logger.handle
+    logging.Logger.handle = lambda logger, record: held.append(record)
+    try:
+        yield held
+    finally:
+        logging.Logger.handle = handle
+
+
+def _handle(records: list[logging.LogRecord]) -> None:
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
+def _topics_child(state: RunState, pipe_fd: int) -> NoReturn:
+    """In the forked child: run stage_topics, send its fields and log records, exit.
+
+    Exit status 0 means everything was sent; the child never returns.
+    """
+    status = 1
+    try:
+        with _held_log_records() as records:
+            stage_topics(state)
+        fields = [(r.factors, r.keywords, r.coverage, r.agenda) for r in state.outlets.values()]
+        with open(pipe_fd, "wb") as pipe:
+            # Protocol 5 keeps read-only numpy arrays read-only.
+            pickle.dump((fields, records), pipe, protocol=5)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fit_topics_beside_mentions(state: RunState) -> None:
+    """Run stage_topics in a forked child while this process reads every outlet's mentions.
+
+    The child's log records are handled ahead of the mention reader's, as
+    when the stages run in turn.  If the child fails, is killed or sends
+    nothing, stage_topics runs again here, so a topics failure raises its
+    own exception.  An outlet whose mention reading fails is left unread:
+    stage_sentiment reads it again and raises, after any topics failure.
+    The child is reaped before this returns or raises, and killed first if
+    this process is interrupted.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        stage_topics(state)
+        return
+    if pid == 0:
+        os.close(read_fd)
+        _topics_child(state, write_fd)
+    os.close(write_fd)
+    status = None
+    try:
+        with open(read_fd, "rb") as pipe, _held_log_records() as own:
+            with contextlib.suppress(Exception):
+                for res in state.outlets.values():
+                    _read_mentions(state, res)
+            sent = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status == 0:
+        fields, records = pickle.loads(sent)
+        for res, (factors, keywords, coverage, agenda) in zip(state.outlets.values(), fields):
+            res.factors, res.keywords, res.coverage, res.agenda = factors, keywords, coverage, agenda
+        _handle(records)
+    else:
+        stage_topics(state)
+    _handle(own)
+
+
 def run_pipeline(config: PipelineConfig, through: str = "causality") -> ReportBundle:
     """Run the stages up to and including ``through``; return the results.
 
     Fields that later stages fill stay empty.  An unknown stage name
-    raises ValueError.
+    raises ValueError.  When ``_worker_usable`` allows, the topics stage
+    runs in a forked child beside the sentiment stage's mention reading;
+    the results are the same either way.
     """
     if through not in STAGES:
         raise ValueError(f"unknown stage {through!r}; expected one of {', '.join(STAGES)}")
@@ -241,7 +358,10 @@ def run_pipeline(config: PipelineConfig, through: str = "causality") -> ReportBu
     # Looked up at call time, so a wrapper patched over a stage_* name runs;
     # the name comes from STAGES, so such a wrapper cannot rename the stage.
     stages = (stage_ingest, stage_topics, stage_sentiment, stage_correlate, stage_causality)
-    for name, stage in zip(STAGES[: STAGES.index(through) + 1], stages):
+    names = STAGES[: STAGES.index(through) + 1]
+    if _worker_usable(names):
+        stages = (stage_ingest, _fit_topics_beside_mentions, *stages[2:])
+    for name, stage in zip(names, stages):
         try:
             stage(state)
         except Exception as exc:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
-from newslens.cli import main
+import newslens
+from newslens.cli import BLAS_THREAD_VARS, main
 from newslens.config import load_config
 from newslens.pipeline import run_pipeline
 
@@ -270,6 +275,25 @@ class TestOutletOrder:
         assert manifests[0] == manifests[1]
         report = (tmp_path / "listed" / "report.json").read_bytes()
         assert report == (tmp_path / "sorted" / "report.json").read_bytes()
+
+
+class TestBlasThreads:
+    # The CLI pins every BLAS and OpenMP pool to one thread before numpy
+    # loads, unless the environment already sizes the pool.
+    @pytest.mark.parametrize("given", [None, "2"])
+    def test_pools_pinned_unless_set(self, given):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(newslens.__file__).parent.parent)
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = "import os, newslens.cli\nprint(*map(os.environ.get, newslens.cli.BLAS_THREAD_VARS))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        expected = {v: "1" for v in BLAS_THREAD_VARS}
+        if given is not None:
+            expected["OPENBLAS_NUM_THREADS"] = given
+        assert proc.stdout.split() == list(expected.values())
 
 
 class TestFixtureCommand:

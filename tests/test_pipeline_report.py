@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import logging
+import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ import newslens.corpus as corpus
 import newslens.pipeline as pipeline
 import newslens.sentiment as sentiment
 import newslens.vectorize as vectorize
+from newslens.cli import BLAS_THREAD_VARS
 from newslens.config import load_config
 from newslens.fixture import generate_fixture
 from newslens.pipeline import (
@@ -26,7 +32,7 @@ from newslens.pipeline import (
 )
 from newslens.report import emit_outputs, report_dict
 
-from conftest import build_run_dir
+from conftest import article_row, build_run_dir
 
 
 @pytest.fixture(scope="module")
@@ -520,3 +526,215 @@ def test_causality_checks_the_spread_once_for_all_outlets(tmp_path, caplog):
     assert cells and all(
         [(g.topic, g.lag) for g in res.granger] == cells for res in state.outlets.values()
     )
+
+
+# Runs one pipeline in a fresh interpreter and prints a JSON result.
+# argv: config, overrides (JSON), fault ("none", "kill" or "read"), output
+# directory.  "kill" kills the forked topics child with SIGKILL; "read"
+# makes mention reading fail.  A run with "none" that succeeds also
+# pickles the topic fields to <output>.pkl, counts writeable arrays and
+# counts forks of a run through "topics".
+WORKER_RUN = """
+import json, os, pickle, signal, sys
+import newslens.pipeline as pipeline
+from newslens.config import load_config
+from newslens.report import emit_outputs
+
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+config, overrides, fault, out = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3], sys.argv[4]
+parent, stage_topics = os.getpid(), pipeline.stage_topics
+
+def topics_killed_in_child(state):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    stage_topics(state)
+
+def read_fails(*args):
+    raise ValueError("mention reading failed")
+
+if fault == "kill":
+    pipeline.stage_topics = topics_killed_in_child
+elif fault == "read":
+    pipeline.mention_records = read_fails
+cfg = load_config(config, overrides)
+result = {}
+try:
+    bundle = pipeline.run_pipeline(cfg)
+except pipeline.PipelineError as exc:
+    result["error"] = [exc.stage, str(exc)]
+else:
+    emit_outputs(bundle, out)
+    outlets = list(bundle.state.outlets.values())
+    if fault == "none":
+        with open(out + ".pkl", "wb") as fh:
+            pickle.dump([(r.factors, r.keywords, r.coverage, r.agenda) for r in outlets], fh)
+        series = [bundle.state.spread] + [
+            s for r in outlets
+            for s in (*r.coverage.topics, *r.coverage.raw, *r.mention_series.values(), r.sb_daily)
+        ]
+        arrays = [a for r in outlets for a in (r.factors.H, r.factors.W, r.factors.errors)]
+        result["writeable"] = sum(a.flags.writeable for a in arrays + [s.values for s in series])
+result["forks"] = len(forks)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    result["child_left"] = True
+except ChildProcessError:
+    result["child_left"] = False
+if fault == "none" and "error" not in result:
+    forks.clear()
+    pipeline.run_pipeline(cfg, through="topics")
+    result["forks_through_topics"] = len(forks)
+print(json.dumps(result))
+"""
+
+
+def python_env(pinned: bool) -> dict:
+    """The environment for a fresh interpreter importing this checkout's newslens."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(pipeline.__file__).parent.parent)
+    if pinned:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    return env
+
+
+def same(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same values, arrays compared bit for bit."""
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the topics worker needs os.fork and two CPUs",
+)
+class TestTopicsWorker:
+    # With BLAS pinned, run_pipeline fits topics in a forked child while it
+    # reads mentions; on one CPU it runs the stages in turn.
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        # Two outlets, the second a shorter copy of the first.
+        path = build_run_dir(tmp_path)
+        rows = (tmp_path / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+        (tmp_path / "articles_two.jsonl").write_text(
+            "".join(line.replace("outlet_one", "outlet_two") + "\n" for line in rows[:-15]),
+            encoding="utf-8",
+        )
+        text = path.read_text(encoding="utf-8")
+        path.write_text(
+            text.replace(
+                "  outlet_one: articles.jsonl\n",
+                "  outlet_one: articles.jsonl\n  outlet_two: articles_two.jsonl\n",
+            ),
+            encoding="utf-8",
+        )
+        return path
+
+    @staticmethod
+    def run_worker(config, out, overrides=None, fault="none") -> dict:
+        proc = subprocess.run(
+            [sys.executable, "-c", WORKER_RUN, str(config), json.dumps(overrides or {}), fault,
+             str(out)],
+            capture_output=True, text=True, env=python_env(pinned=True), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @staticmethod
+    def inline(monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def test_worker_and_inline_runs_agree(self, config, tmp_path, monkeypatch):
+        worker = self.run_worker(config, tmp_path / "worker")
+        assert worker == {
+            "writeable": 0, "forks": 1, "child_left": False, "forks_through_topics": 0
+        }
+        self.inline(monkeypatch)
+        bundle = run_pipeline(load_config(config))
+        emit_outputs(bundle, tmp_path / "inline")
+        report = (tmp_path / "inline" / "report.json").read_bytes()
+        assert (tmp_path / "worker" / "report.json").read_bytes() == report
+        # The file was written by the run above, in this test.
+        fields = pickle.loads((tmp_path / "worker.pkl").read_bytes())
+        outlets = list(bundle.state.outlets.values())
+        assert len(fields) == len(outlets) == 2
+        assert same(fields, [(r.factors, r.keywords, r.coverage, r.agenda) for r in outlets])
+
+    def test_killed_child_falls_back_to_inline(self, config, tmp_path):
+        normal = self.run_worker(config, tmp_path / "normal")
+        killed = self.run_worker(config, tmp_path / "killed", fault="kill")
+        assert normal["forks"] == killed["forks"] == 1
+        assert not normal["child_left"] and not killed["child_left"]
+        report = (tmp_path / "normal" / "report.json").read_bytes()
+        assert (tmp_path / "killed" / "report.json").read_bytes() == report
+
+    @pytest.mark.parametrize(
+        "overrides, fault, stage",
+        [
+            ({"n_topics": 500}, "none", "topics"),
+            ({"n_topics": 500}, "read", "topics"),  # both halves fail; topics wins
+            ({}, "read", "sentiment"),
+        ],
+    )
+    def test_failures_name_the_stage(self, config, tmp_path, monkeypatch, overrides, fault, stage):
+        worker = self.run_worker(config, tmp_path / "out", overrides, fault)
+        assert worker["forks"] == 1 and not worker["child_left"]
+        self.inline(monkeypatch)
+        if fault == "read":
+            monkeypatch.setattr(
+                pipeline, "mention_records", Mock(side_effect=ValueError("mention reading failed"))
+            )
+        with pytest.raises(PipelineError) as exc_info:
+            run_pipeline(load_config(config, overrides))
+        assert exc_info.value.stage == stage
+        assert worker["error"] == [stage, str(exc_info.value)]
+
+    def test_child_warnings_reach_stderr_once_ahead_of_sentiment(self, config, tmp_path):
+        # An article with no vocabulary term makes the topics stage warn, and
+        # a labels file covering one sentence makes mention reading warn.
+        with open(tmp_path / "articles.jsonl", "a", encoding="utf-8") as fh:
+            row = article_row("novocab", day="2021-03-10", title="Quorn", body="Arden wobbles.")
+            fh.write(json.dumps(row) + "\n")
+        (tmp_path / "stop.txt").write_text("arden\nbriggs\nthe\n", encoding="utf-8")
+        (tmp_path / "labels.csv").write_text(
+            "article_id,sentence_index,class\nd000t0,1,positive\n", encoding="utf-8"
+        )
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace("sentiment:\n", "sentiment:\n  labels: labels.csv\n")
+            + "stopwords: stop.txt\n",
+            encoding="utf-8",
+        )
+        # The CLI pins BLAS itself, so it forks with no thread variable set.
+        code = (
+            "import os, sys\n"
+            "forks = []\n"
+            "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+            "from newslens.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('forks', len(forks))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sentiment", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=python_env(pinned=False), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "forks 1"
+        lines = proc.stderr.splitlines()
+        no_vocab = [i for i, line in enumerate(lines) if "article novocab has no vocabulary" in line]
+        unlabeled = [i for i, line in enumerate(lines) if "no precomputed label" in line]
+        assert len(no_vocab) == 1 and len(unlabeled) == 2  # one per outlet
+        assert no_vocab[0] < unlabeled[0]

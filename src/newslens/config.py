@@ -11,6 +11,7 @@ from pathlib import Path
 import yaml
 
 from .corpus import EntitySpec
+from .sentiment import LEXICON_FILES
 from .topics import NORMALIZATION_MODES
 
 __all__ = ["PipelineConfig", "load_config", "outlet_slug"]
@@ -54,9 +55,6 @@ class PipelineConfig:
     keywords_per_topic: int = 10
     stopwords: Path | None = None
     lexicon: Path | None = None
-    negators: Path | None = None
-    intensifiers: Path | None = None
-    diminishers: Path | None = None
     labels: Path | None = None
 
     def __post_init__(self) -> None:
@@ -102,11 +100,10 @@ class PipelineConfig:
         bad = [i for i in self.drop_topics if not 0 <= i < self.n_topics]
         if bad:
             raise _RangeError("drop_topics", f"{bad} outside [0, {self.n_topics})")
-        lex_parts = [self.lexicon, self.negators, self.intensifiers, self.diminishers]
-        if any(p is not None for p in lex_parts) and not all(p is not None for p in lex_parts):
+        if len(set(self.drop_topics)) == self.n_topics:
             raise ValueError(
-                "config: a custom lexicon needs all four files "
-                "(lexicon, negators, intensifiers, diminishers)"
+                f"config: topics.drop (--drop-topics) drops all {self.n_topics} topics; "
+                "at least one must be kept"
             )
 
 
@@ -187,10 +184,7 @@ _SCHEMA = {
     "bootstrap_gamma": ("bootstrap.level", _fraction),
     "membership_threshold": ("sentiment.membership_threshold", _fraction),
     "min_topic_mentions": ("sentiment.min_topic_mentions", _integer),
-    "lexicon": ("sentiment.lexicon", _file),
-    "negators": ("sentiment.negators", _file),
-    "intensifiers": ("sentiment.intensifiers", _file),
-    "diminishers": ("sentiment.diminishers", _file),
+    "lexicon": ("sentiment.lexicon", Path),
     "labels": ("sentiment.labels", _file),
 }
 
@@ -262,6 +256,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ValueError(f"{path}: {str(exc).removeprefix('config: ')}") from None
 
     inputs = [getattr(cfg, field) for field, (_, parse) in _SCHEMA.items() if parse is _file]
+    if cfg.lexicon is not None:
+        inputs += [Path(cfg.lexicon) / name for name in LEXICON_FILES]
     missing = [
         str(p) for p in [*cfg.articles.values(), *inputs] if p is not None and not Path(p).is_file()
     ]

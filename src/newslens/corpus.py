@@ -6,7 +6,7 @@ date, pollster, pct_a, pct_b.  ``named_entities`` is the one rule for
 which tracked entities a text names: NFC-normalize, then search each
 entity's pattern.  Ingest filtering uses it, and so does
 ``sentiment.mention_records``, which applies the same patterns to each
-sentence it has normalized once and to the clauses of that text.
+of ``Article.sentences`` (normalized text) and to its clauses.
 """
 
 from __future__ import annotations
@@ -126,9 +126,13 @@ class Article:
 
     @property
     def sentences(self) -> list[str]:
-        """Title (when non-blank) as sentence 0, then the body's; not kept, to save memory."""
-        title = self.title.strip()
-        return ([title] if title else []) + split_sentences(self.body)
+        """Title (when non-blank) as sentence 0, then the body's; not kept, to save memory.
+
+        Title and body are NFC-normalized before the split, so an article's
+        sentence indices do not depend on how its text was encoded.
+        """
+        title = unicodedata.normalize("NFC", self.title).strip()
+        return ([title] if title else []) + split_sentences(unicodedata.normalize("NFC", self.body))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import tokenize
+from .sentiment import LEXICON_FILES, default_lexicon
 
 __all__ = ["FixtureSpec", "generate_fixture"]
 
@@ -140,10 +141,10 @@ def _class_distribution(target: float) -> list[tuple[str, str, float]]:
 def generate_fixture(out_dir, seed: int, spec: FixtureSpec = FixtureSpec()) -> dict[str, Path]:
     """Write the synthetic corpus under ``out_dir``; returns written paths.
 
-    Output: articles.jsonl, polls.csv, stopwords.txt, config.yaml, and
-    ground_truth.json.  The config is ready for a pipeline run with a
-    one-day window and per-topic-area normalization, which makes the
-    planted coverage signal scale-free.
+    Output: articles.jsonl, polls.csv, stopwords.txt, the four lexicon
+    files, config.yaml, and ground_truth.json.  The config is ready for a
+    pipeline run with a one-day window and per-topic-area normalization,
+    which makes the planted coverage signal scale-free.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,10 +161,7 @@ def generate_fixture(out_dir, seed: int, spec: FixtureSpec = FixtureSpec()) -> d
     ]
     forbidden = set(base_stop) | set(_TEMPLATE_EXTRA_WORDS)
     forbidden |= {spec.label_a.lower(), spec.label_b.lower()}
-    lex = (files("newslens") / "data" / "lexicon.tsv").read_text(encoding="utf-8")
-    for line in lex.splitlines():
-        if line and not line.startswith("#"):
-            forbidden.add(line.split("\t")[0])
+    forbidden |= set(default_lexicon().valence)
 
     words = _synthetic_words(spec.n_topics * spec.terms_per_topic, forbidden)
     topic_terms = [
@@ -276,20 +274,16 @@ def generate_fixture(out_dir, seed: int, spec: FixtureSpec = FixtureSpec()) -> d
     )
     paths["stopwords"] = p
 
-    p = out / "lexicon.tsv"
-    p.write_text(
+    lexicon = (
         "splendid\t2\nadmirable\t1\ndreadful\t-2\ndismal\t-2\n",
-        encoding="utf-8",
+        "not\nnever\nno\n",
+        "very\nextremely\n",
+        "slightly\nsomewhat\n",
     )
-    paths["lexicon"] = p
-    for name, terms in (
-        ("negators.txt", "not\nnever\nno\n"),
-        ("intensifiers.txt", "very\nextremely\n"),
-        ("diminishers.txt", "slightly\nsomewhat\n"),
-    ):
-        q = out / name
-        q.write_text(terms, encoding="utf-8")
-        paths[name.removesuffix(".txt")] = q
+    for name, text in zip(LEXICON_FILES, lexicon):
+        p = out / name
+        p.write_text(text, encoding="utf-8")
+        paths[p.stem] = p
 
     p = out / "config.yaml"
     p.write_text(
@@ -316,10 +310,7 @@ def generate_fixture(out_dir, seed: int, spec: FixtureSpec = FixtureSpec()) -> d
                 "  samples: 1000",
                 "  level: 0.95",
                 "sentiment:",
-                "  lexicon: lexicon.tsv",
-                "  negators: negators.txt",
-                "  intensifiers: intensifiers.txt",
-                "  diminishers: diminishers.txt",
+                "  lexicon: .",
                 "stopwords: stopwords.txt",
                 "output: out",
                 "",

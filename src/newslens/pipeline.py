@@ -145,10 +145,7 @@ def stage_ingest(state: RunState) -> None:
         from importlib.resources import files
 
         state.stopwords = load_stopwords(files("newslens") / "data" / "stopwords_en.txt")
-    if cfg.lexicon is not None:
-        state.lexicon = load_lexicon(cfg.lexicon, cfg.negators, cfg.intensifiers, cfg.diminishers)
-    else:
-        state.lexicon = default_lexicon()
+    state.lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon is not None else default_lexicon()
     state.labels = load_labels(cfg.labels) if cfg.labels is not None else None
     for outlet, path in sorted(cfg.articles.items()):
         res = state.outlets[outlet] = OutletResult(outlet, load_articles(path, cfg.entities))

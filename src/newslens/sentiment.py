@@ -14,11 +14,13 @@ the total number of mentions of either entity (neutral included).
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import re
 import unicodedata
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .vectorize import load_stopwords
 __all__ = [
     "SENTIMENT_CLASSES",
     "Lexicon",
+    "LEXICON_FILES",
     "load_lexicon",
     "default_lexicon",
     "score_sentence",
@@ -69,12 +72,20 @@ class Lexicon:
     diminishers: frozenset[str]
 
 
-def load_lexicon(valence_path, negators_path, intensifiers_path, diminishers_path) -> Lexicon:
-    """Valence file is TSV ``term<TAB>valence`` with valence in {-2,-1,1,2}.
+# The files of a lexicon directory: the valence lexicon, then the marker lists.
+LEXICON_FILES = ("lexicon.tsv", "negators.txt", "intensifiers.txt", "diminishers.txt")
 
-    The marker files list one term per line.  Every term is NFC-normalized
-    and lowercased, as ``tokenize`` makes the tokens it is matched against.
+
+def load_lexicon(directory) -> Lexicon:
+    """The lexicon whose ``LEXICON_FILES`` sit in ``directory``.
+
+    The valence file is TSV ``term<TAB>valence`` with valence in
+    {-2,-1,1,2}; the marker files list one term per line.  Every term is
+    NFC-normalized and lowercased, as ``tokenize`` makes the tokens it is
+    matched against, and no term may appear in two of the four files.
     """
+    paths = [Path(directory) / name for name in LEXICON_FILES]
+    valence_path = paths[0]
     valence: dict[str, int] = {}
     with open(valence_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -96,25 +107,19 @@ def load_lexicon(valence_path, negators_path, intensifiers_path, diminishers_pat
             valence[term] = val
     if not valence:
         raise ValueError(f"{valence_path}: empty lexicon")
-    return Lexicon(
-        valence=valence,
-        negators=load_stopwords(negators_path),
-        intensifiers=load_stopwords(intensifiers_path),
-        diminishers=load_stopwords(diminishers_path),
-    )
+    terms = [frozenset(valence), *map(load_stopwords, paths[1:])]
+    # A term in two files would get two roles in ``_score_tokens``.
+    for (path_a, a), (path_b, b) in itertools.combinations(zip(paths, terms), 2):
+        if a & b:
+            raise ValueError(f"term {min(a & b)!r} is in both {path_a} and {path_b}")
+    return Lexicon(valence, *terms[1:])
 
 
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package."""
     from importlib.resources import files
 
-    data = files("newslens") / "data"
-    return load_lexicon(
-        data / "lexicon.tsv",
-        data / "negators.txt",
-        data / "intensifiers.txt",
-        data / "diminishers.txt",
-    )
+    return load_lexicon(files("newslens") / "data")
 
 
 # --- rule scorer ----------------------------------------------------------
@@ -224,15 +229,15 @@ def mention_records(
 ) -> tuple[dict[str, DatedSeries], list[MentionRecord]]:
     """Mention-count series by entity label, and every mention scored.
 
-    Each article's sentences are read once; each sentence is NFC-normalized
-    once and tested against every entity's pattern, and one that names no
-    entity is dropped there.  A sentence counts toward every entity it
-    names, on its article's day (days without articles count zero); the
+    Each article's sentences, NFC-normalized by ``Article.sentences``, are
+    read once; each is tested against every entity's pattern, and one that
+    names no entity is dropped there.  A sentence counts toward every entity
+    it names, on its article's day (days without articles count zero); the
     daily counts are smoothed with a trailing ``window_days`` mean.  A
-    sentence naming one entity is one mention, scored from the tokens of
-    its normalized text; a sentence naming several is split into clauses
-    at commas, semicolons and coordinating conjunctions, each clause a
-    mention of every entity it names, matched and scored on its own.
+    sentence naming one entity is one mention, scored from its tokens; a
+    sentence naming several is split into clauses at commas, semicolons
+    and coordinating conjunctions, each clause a mention of every entity it
+    names, matched and scored on its own.
     Mentions come in article order.  When ``labels`` is given, a sentence
     with a precomputed label uses it for all its mentions; unlabeled
     sentences fall back to the rule scorer.
@@ -247,8 +252,7 @@ def mention_records(
     searches = [(e, e._pattern.search) for e in entities]
     for art in articles:
         day = (art.date - first).days
-        for idx, sent in enumerate(art.sentences):
-            text = unicodedata.normalize("NFC", sent)
+        for idx, text in enumerate(art.sentences):
             named = [e for e, search in searches if search(text)]
             if not named:
                 continue
@@ -258,7 +262,7 @@ def mention_records(
             if len(named) == 1:
                 missing += given is None
                 cls = given or _score_tokens(_lowered_tokens(text.lower()), lexicon)
-                records.append(MentionRecord(art.id, art.date, named[0].label, sent, cls))
+                records.append(MentionRecord(art.id, art.date, named[0].label, text, cls))
                 continue
             for entity, clause in _attribute(text, named):
                 missing += given is None

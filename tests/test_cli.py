@@ -72,6 +72,17 @@ class TestValidate:
         assert "ingest" in err
         assert "failed: analysis.max_lag (--max-lag) is 40, too large for the " in err
 
+    def test_dropping_every_topic_exits_2_before_any_stage(self, run_dir, capsys):
+        config = run_dir / "config.yaml"
+        rc = invoke("validate", "--config", str(config), "--drop-topics", "0,1,2")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {config}: topics.drop (--drop-topics) drops all 3 topics; "
+            "at least one must be kept\n"
+        )
+
 
 class TestRun:
     def test_full_run_writes_outputs(self, run_dir, capsys):

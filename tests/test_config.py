@@ -7,6 +7,7 @@ import yaml
 
 from newslens.config import PipelineConfig, load_config, outlet_slug
 from newslens.corpus import EntitySpec
+from newslens.sentiment import LEXICON_FILES
 
 from conftest import article_row, write_articles
 
@@ -57,6 +58,8 @@ class TestLoadConfig:
             ("analysis", "max_lags", "analysis.max_lags"),
             ("anlysis", "max_lag", "anlysis"),
             (None, "windw_days", "windw_days"),
+            # the marker lists are files of the sentiment.lexicon directory
+            ("sentiment", "negators", "sentiment.negators"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, section, key, dotted):
@@ -99,7 +102,9 @@ class TestLoadConfig:
         text = section.split("```yaml\n", 1)[1].split("```", 1)[0]
         mapping = yaml.safe_load(text)
         files = [*mapping["articles"].values(), mapping["polls"], mapping["stopwords"]]
-        files += [v for v in mapping["sentiment"].values() if isinstance(v, str)]
+        files += [mapping["sentiment"]["labels"]]
+        files += [f"{mapping['sentiment']['lexicon']}/{name}" for name in LEXICON_FILES]
+        (tmp_path / mapping["sentiment"]["lexicon"]).mkdir()
         for name in files:
             (tmp_path / name).write_text("", encoding="utf-8")
         p = tmp_path / "config.yaml"
@@ -107,6 +112,7 @@ class TestLoadConfig:
         cfg = load_config(p)
         assert cfg.seed == 11
         assert cfg.labels == tmp_path / "labels.csv"
+        assert cfg.lexicon == tmp_path / mapping["sentiment"]["lexicon"]
 
     def test_json_accepted(self, tmp_path):
         p = tmp_path / "config.json"
@@ -176,6 +182,20 @@ class TestLoadConfig:
         mapping["polls"] = "nowhere.csv"
         with pytest.raises(ValueError, match="not found"):
             load_config(write_yaml(tmp_path, mapping))
+
+    @pytest.mark.parametrize("absent", LEXICON_FILES)
+    def test_lexicon_directory_missing_a_file_rejected(self, tmp_path, absent):
+        mapping = base_mapping(tmp_path)
+        mapping["sentiment"] = {"lexicon": "lex"}
+        (tmp_path / "lex").mkdir()
+        for name in LEXICON_FILES:
+            if name != absent:
+                (tmp_path / "lex" / name).write_text("x\n", encoding="utf-8")
+        p = write_yaml(tmp_path, mapping)
+        with pytest.raises(ValueError) as exc_info:
+            load_config(p)
+        missing = tmp_path / "lex" / absent
+        assert str(exc_info.value) == f"{p}: referenced files not found: {missing}"
 
     def test_missing_file_from_override_caught(self, tmp_path):
         p = write_yaml(tmp_path, base_mapping(tmp_path))
@@ -326,6 +346,7 @@ class TestPipelineConfigValidation:
             ("analysis", "max_lag", -1, "must be >= 0, got -1"),
             ("topics", "count", 1, "must be >= 2, got 1"),
             ("topics", "drop", [9], "[9] outside [0, 6)"),
+            ("topics", "drop", [0, 1, 2, 3, 4, 5], "drops all 6 topics; at least one must be kept"),
             ("topics", "normalization", "inverted", "got 'inverted'"),
             ("topics", "min_df", 0, "must be >= 1, got 0"),
             ("topics", "keywords", 0, "must be >= 1, got 0"),
@@ -390,9 +411,14 @@ class TestPipelineConfigValidation:
         mapping["sentiment"] = {"membership_threshold": 1}
         assert load_config(write_yaml(tmp_path, mapping)).membership_threshold == 1.0
 
-    def test_partial_lexicon_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="all four"):
-            PipelineConfig(**self.kwargs(tmp_path, lexicon=tmp_path / "lex.tsv"))
+    @pytest.mark.parametrize("drop", [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0, 0)])
+    def test_dropping_every_topic_rejected(self, tmp_path, drop):
+        with pytest.raises(ValueError) as exc_info:
+            PipelineConfig(**self.kwargs(tmp_path, drop_topics=drop))
+        assert str(exc_info.value) == (
+            "config: topics.drop (--drop-topics) drops all 6 topics; at least one must be kept"
+        )
+        PipelineConfig(**self.kwargs(tmp_path, drop_topics=drop[1:6]))
 
     def test_outlets_sharing_a_file_tag_rejected(self, tmp_path):
         articles = {"Fox News": tmp_path / "a.jsonl", "fox_news": tmp_path / "b.jsonl"}
@@ -407,7 +433,6 @@ class TestPipelineConfigValidation:
             ("articles", "outlets 'Fox News' and 'fox_news' share the file tag 'fox_news'"),
             ("labels", "entity labels must differ"),
             ("aliases", "entities share aliases ['arden']"),
-            ("lexicon", "a custom lexicon needs all four files"),
             ("empty_label", "entity label must be non-empty"),
             ("blank_alias", "entity 'Briggs' has a blank alias"),
             ("blank_label", "entity label '  ' is blank"),
@@ -431,10 +456,8 @@ class TestPipelineConfigValidation:
             mapping["articles"] = {"Fox News": "articles.jsonl", "fox_news": "articles.jsonl"}
         elif edit == "labels":
             mapping["entities"][1]["label"] = "Arden"
-        elif edit == "aliases":
-            mapping["entities"][1]["aliases"] = ["Briggs", "ARDEN"]
         else:
-            mapping["sentiment"] = {"lexicon": "lex.tsv"}
+            mapping["entities"][1]["aliases"] = ["Briggs", "ARDEN"]
         p = write_yaml(tmp_path, mapping)
         with pytest.raises(ValueError) as exc_info:
             load_config(p)

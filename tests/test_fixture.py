@@ -6,6 +6,7 @@ import pytest
 from newslens.config import load_config
 from newslens.corpus import EntitySpec, load_articles, load_polls
 from newslens.fixture import FixtureSpec, generate_fixture
+from newslens.sentiment import load_lexicon
 
 SMALL = FixtureSpec(days=40, lag=5, sb_targets=(0.4, -0.4, 0.25, -0.25, 0.0))
 
@@ -65,7 +66,10 @@ class TestGenerateFixture:
         assert cfg.window_days == 1
         assert cfg.normalization == "per_topic_area"
         assert cfg.seed == 5
-        assert cfg.lexicon == tmp_path / "lexicon.tsv"
+        assert cfg.lexicon == tmp_path
+        assert load_lexicon(cfg.lexicon).valence == {
+            "splendid": 2, "admirable": 1, "dreadful": -2, "dismal": -2,
+        }
 
     def test_articles_parse_and_cover_every_day(self, tmp_path):
         files = generate_fixture(tmp_path, seed=7, spec=SMALL)

@@ -195,10 +195,11 @@ class TestParseOnce:
     @pytest.mark.parametrize("body", [None, "Arden won, but Briggs, Jr. objected; Arden smiled."])
     def test_mention_reader_normalizes_each_sentence_once(self, tmp_path, monkeypatch, body):
         # Texts ``corpus`` and ``sentiment`` normalize while ``mention_records``
-        # runs: each sentence once, to match and score it and to split it
-        # into clauses.  Each mention is scored from its lowered text (a
-        # sentence naming one entity, else a clause naming it), with no
-        # normalization of its own.
+        # runs: each article's title and body once, before the sentence split;
+        # its sentences are then matched, scored and split into clauses as
+        # they are.  Each mention is scored from its lowered text (a sentence
+        # naming one entity, else a clause naming it), with no normalization
+        # of its own.
         path = build_run_dir(tmp_path)
         if body is not None:
             articles = tmp_path / "articles.jsonl"
@@ -235,10 +236,10 @@ class TestParseOnce:
         monkeypatch.setattr(sentiment, "_lowered_tokens", tokens)
         state = run_pipeline(config, through="sentiment").state
 
-        sentences, clauses, mentions = [], [], []
+        texts, clauses, mentions = [], [], []
         for art in state.outlets["outlet_one"].articles:
+            texts += [art.title, art.body]
             for sent in art.sentences:
-                sentences.append(sent)
                 named = tuple(corpus.named_entities(sent, config.entities))
                 if len(named) == 1:
                     mentions.append(sent)
@@ -249,7 +250,7 @@ class TestParseOnce:
                     mentions.extend(c for c in parts for e in named if e.matches(c))
         assert len(clauses) == (4 if body is not None else 0)
         assert scored == [m.lower() for m in mentions]
-        assert normalized == sentences
+        assert normalized == texts
         assert len(state.outlets["outlet_one"].mentions) == len(mentions)
 
 

@@ -14,6 +14,7 @@ from newslens.corpus import EntitySpec, load_articles, split_sentences
 from newslens.series import DatedSeries, pooled_window_mean
 from newslens.sentiment import (
     FIELD_SIGNS,
+    LEXICON_FILES,
     SENTIMENT_CLASSES,
     Lexicon,
     MentionRecord,
@@ -66,62 +67,84 @@ def worked_tally():
 
 class TestLoadLexicon:
     def write_files(self, tmp_path, valence="good\t1\nbad\t-1\n"):
-        v = tmp_path / "lex.tsv"
-        v.write_text(valence, encoding="utf-8")
-        for name in ("neg", "int", "dim"):
-            (tmp_path / f"{name}.txt").write_text(f"{name}word\n", encoding="utf-8")
-        return v, tmp_path / "neg.txt", tmp_path / "int.txt", tmp_path / "dim.txt"
+        texts = (valence, "negword\n", "intword\n", "dimword\n")
+        for name, text in zip(LEXICON_FILES, texts):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return tmp_path
 
     def test_valid_round_trip(self, tmp_path):
-        lex = load_lexicon(*self.write_files(tmp_path))
+        lex = load_lexicon(self.write_files(tmp_path))
         assert lex.valence == {"good": 1, "bad": -1}
         assert lex.negators == frozenset({"negword"})
+        assert lex.intensifiers == frozenset({"intword"})
+        assert lex.diminishers == frozenset({"dimword"})
 
     def test_bad_valence_value(self, tmp_path):
-        paths = self.write_files(tmp_path, valence="good\t3\n")
+        directory = self.write_files(tmp_path, valence="good\t3\n")
         with pytest.raises(ValueError, match="valence 3"):
-            load_lexicon(*paths)
+            load_lexicon(directory)
 
     def test_zero_valence_rejected(self, tmp_path):
-        paths = self.write_files(tmp_path, valence="meh\t0\n")
+        directory = self.write_files(tmp_path, valence="meh\t0\n")
         with pytest.raises(ValueError):
-            load_lexicon(*paths)
+            load_lexicon(directory)
 
     def test_non_integer_valence(self, tmp_path):
-        paths = self.write_files(tmp_path, valence="good\tstrong\n")
+        directory = self.write_files(tmp_path, valence="good\tstrong\n")
         with pytest.raises(ValueError, match="non-integer"):
-            load_lexicon(*paths)
+            load_lexicon(directory)
 
     def test_missing_tab(self, tmp_path):
-        paths = self.write_files(tmp_path, valence="good 1\n")
+        directory = self.write_files(tmp_path, valence="good 1\n")
         with pytest.raises(ValueError, match="TAB"):
-            load_lexicon(*paths)
+            load_lexicon(directory)
 
     def test_duplicate_term(self, tmp_path):
-        paths = self.write_files(tmp_path, valence="good\t1\nGood\t2\n")
+        directory = self.write_files(tmp_path, valence="good\t1\nGood\t2\n")
         with pytest.raises(ValueError, match="duplicate"):
-            load_lexicon(*paths)
+            load_lexicon(directory)
 
     def test_empty_lexicon(self, tmp_path):
-        paths = self.write_files(tmp_path, valence="# nothing\n")
+        directory = self.write_files(tmp_path, valence="# nothing\n")
         with pytest.raises(ValueError, match="empty"):
-            load_lexicon(*paths)
+            load_lexicon(directory)
 
     def test_decomposed_terms_match_tokens(self, tmp_path):
         # "café" and "néver" written with combining accents; tokenize
         # yields the composed (NFC) forms
-        paths = self.write_files(tmp_path, valence="cafe\u0301\t1\n")
-        paths[1].write_text("ne\u0301ver\n", encoding="utf-8")
-        lex = load_lexicon(*paths)
+        directory = self.write_files(tmp_path, valence="cafe\u0301\t1\n")
+        (directory / "negators.txt").write_text("ne\u0301ver\n", encoding="utf-8")
+        lex = load_lexicon(directory)
         assert lex.valence == {"caf\u00e9": 1}
         assert lex.negators == frozenset({"n\u00e9ver"})
         assert score_sentence("the caf\u00e9", lex) == "positive"
         assert score_sentence("n\u00e9ver the caf\u00e9", lex) == "negative"
 
     def test_composed_and_decomposed_terms_are_duplicates(self, tmp_path):
-        paths = self.write_files(tmp_path, valence="caf\u00e9\t1\ncafe\u0301\t2\n")
+        directory = self.write_files(tmp_path, valence="caf\u00e9\t1\ncafe\u0301\t2\n")
         with pytest.raises(ValueError, match="duplicate"):
-            load_lexicon(*paths)
+            load_lexicon(directory)
+
+    @pytest.mark.parametrize(
+        "first, second, term",
+        [
+            ("lexicon.tsv", "negators.txt", "good"),
+            ("lexicon.tsv", "diminishers.txt", "bad"),
+            ("negators.txt", "intensifiers.txt", "negword"),
+            ("intensifiers.txt", "diminishers.txt", "intword"),
+        ],
+    )
+    def test_term_in_two_files_rejected(self, tmp_path, first, second, term):
+        # A term in two files would have two roles in the scorer; the
+        # match is on the normalized, lowercased term.
+        directory = self.write_files(tmp_path)
+        with open(directory / second, "a", encoding="utf-8") as fh:
+            fh.write(term.upper() + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            load_lexicon(directory)
+        assert str(exc_info.value) == (
+            f"term {term!r} is in both {directory / first} and {directory / second}"
+        )
 
     def test_default_lexicon_is_well_formed(self):
         lex = default_lexicon()
@@ -461,6 +484,26 @@ class TestOneMentionReader:
             ("Arden", "Arden said s\u00f3 Briggs was awful.", "very_negative"),
             ("Briggs", "Arden said s\u00f3 Briggs was awful.", "very_negative"),
         ]
+
+    def test_nfc_and_nfd_texts_read_alike(self, entity_pair):
+        # Sentences are split from the NFC text, so the initial "\u00c9." ends
+        # no sentence in either form, and a label keyed by sentence index
+        # lands on the same sentence.
+        body = "Aides met \u00c9. Briggs today. Arden was splendid."
+        labels = {("x", 1): "very_negative"}
+        nfc, nfd = (
+            mention_records(
+                [make_article(id="x", title="", body=unicodedata.normalize(form, body))],
+                entity_pair, default_lexicon(), labels,
+            )
+            for form in ("NFC", "NFD")
+        )
+        assert nfd[1] == nfc[1]
+        assert [(r.entity, r.sentiment) for r in nfc[1]] == [
+            ("Briggs", "neutral"), ("Arden", "very_negative"),
+        ]
+        for label, series in nfc[0].items():
+            assert nfd[0][label].values.tobytes() == series.values.tobytes()
 
     def test_labels_with_gaps_warn_once(self, entity_pair, caplog):
         arts = [

@@ -202,7 +202,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     the field.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     try:
         raw = json.loads(text) if path.suffix.lower() == ".json" else yaml.safe_load(text)
     except (json.JSONDecodeError, yaml.YAMLError) as exc:

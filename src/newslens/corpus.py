@@ -207,7 +207,7 @@ def load_articles(path, entities: tuple[EntitySpec, ...]) -> list[Article]:
     """
     kept: list[Article] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -246,7 +246,7 @@ def load_articles(path, entities: tuple[EntitySpec, ...]) -> list[Article]:
 def load_polls(path) -> list[PollRecord]:
     """Read the poll CSV, validate percentages, and sort by date (stable)."""
     records: list[PollRecord] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["date", "pollster", "pct_a", "pct_b"]:

@@ -127,18 +127,24 @@ class ReportBundle:
 
 # --- stages -----------------------------------------------------------------
 
+def _check_max_lag(max_lag: int, days: int, what: str) -> None:
+    """Raise unless max_lag < days / 2, as the lag scan needs of every series.
+
+    Checked at ingest, before the topic and sentiment stages spend their
+    time; the scan's own check stays as the backstop.
+    """
+    if max_lag >= days / 2:
+        raise ValueError(
+            f"analysis.max_lag (--max-lag) is {max_lag}, too large for the {days}-day "
+            f"{what}; it must be at most {(days - 1) // 2}"
+        )
+
+
 def stage_ingest(state: RunState) -> None:
     cfg = state.config
     state.polls = load_polls(cfg.polls)
     state.spread = daily_spread(state.polls, cfg.window_days)
-    # The lag scan needs max_lag < half the spread; check it before the
-    # topic and sentiment stages spend their time.
-    n = len(state.spread)
-    if cfg.max_lag >= n / 2:
-        raise ValueError(
-            f"analysis.max_lag (--max-lag) is {cfg.max_lag}, too large for the {n}-day "
-            f"poll spread of {cfg.polls}; it must be at most {(n - 1) // 2}"
-        )
+    _check_max_lag(cfg.max_lag, len(state.spread), f"poll spread of {cfg.polls}")
     if cfg.stopwords is not None:
         state.stopwords = load_stopwords(cfg.stopwords)
     else:
@@ -150,6 +156,10 @@ def stage_ingest(state: RunState) -> None:
     for outlet, path in sorted(cfg.articles.items()):
         res = state.outlets[outlet] = OutletResult(outlet, load_articles(path, cfg.entities))
         log.info("outlet %s: %d articles kept", outlet, res.n_articles)
+        # An outlet's mention series runs from its first to its last article.
+        dates = [a.date for a in res.articles]
+        span = (max(dates) - min(dates)).days + 1
+        _check_max_lag(cfg.max_lag, span, f"article span of outlet {outlet!r} in {path}")
 
 
 def stage_topics(state: RunState) -> None:

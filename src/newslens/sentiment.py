@@ -87,7 +87,7 @@ def load_lexicon(directory) -> Lexicon:
     paths = [Path(directory) / name for name in LEXICON_FILES]
     valence_path = paths[0]
     valence: dict[str, int] = {}
-    with open(valence_path, encoding="utf-8") as fh:
+    with open(valence_path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -193,7 +193,7 @@ class MentionRecord:
 def load_labels(path) -> dict[tuple[str, int], str]:
     """Precomputed sentence labels: CSV article_id,sentence_index,class."""
     labels: dict[tuple[str, int], str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["article_id", "sentence_index", "class"]:

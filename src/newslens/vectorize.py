@@ -30,7 +30,7 @@ def load_stopwords(path) -> frozenset[str]:
     NFC-normalized and lowercased, as ``tokenize`` makes tokens.
     """
     terms = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             term = line.strip()
             if not term or term.startswith("#"):

@@ -65,19 +65,22 @@ _TOPIC_WORDS = (
 )
 
 
-def build_run_dir(root, days: int = 45, seed: int = 5, outlet: str = "outlet_one"):
+def build_run_dir(
+    root, days: int = 45, seed: int = 5, outlet: str = "outlet_one", article_days: int | None = None
+):
     """Write a small but complete corpus + polls + config under ``root``.
 
     One article per topic per day with distinctive vocabulary, each
     naming one of the two entities, and a smoothly wiggling poll series.
-    Returns the config path.
+    Polls cover ``days`` days, articles the first ``article_days`` of
+    them (all by default).  Returns the config path.
     """
     import math
 
     start = date(2021, 3, 1)
     rows = []
     k = 0
-    for d in range(days):
+    for d in range(days if article_days is None else article_days):
         day = (start + timedelta(days=d)).isoformat()
         for t, words in enumerate(_TOPIC_WORDS):
             entity = "Arden" if (d + t) % 2 == 0 else "Briggs"

@@ -72,6 +72,15 @@ class TestValidate:
         assert "ingest" in err
         assert "failed: analysis.max_lag (--max-lag) is 40, too large for the " in err
 
+    def test_max_lag_beyond_article_span_exits_2(self, tmp_path, capsys):
+        config = build_run_dir(tmp_path, days=45, article_days=20)
+        rc = invoke("validate", "--config", str(config), "--max-lag", "10")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stage 'ingest' failed: analysis.max_lag (--max-lag) is 10" in captured.err
+        assert "20-day article span of outlet 'outlet_one'" in captured.err
+
     def test_dropping_every_topic_exits_2_before_any_stage(self, run_dir, capsys):
         config = run_dir / "config.yaml"
         rc = invoke("validate", "--config", str(config), "--drop-topics", "0,1,2")

@@ -98,13 +98,16 @@ def test_every_exported_name_is_read():
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs most of the package's import time, and
     # scipy.sparse.linalg (only the NMF start's svds route needs it) about
-    # half a second; nothing on the CLI's import path may pull either in.
-    # Nor xml.sax or urllib.request: chart text is escaped with html.escape.
+    # half a second; nothing on the CLI's import path, nor on a library
+    # caller's (config, pipeline, report), may pull either in.  Nor
+    # scipy.special, about 47 ms and 5.6 MiB over scipy.sparse: the slope
+    # test computes its Student's t tail in tsstats.  Nor xml.sax or
+    # urllib.request: chart text is escaped with html.escape.
     env = dict(os.environ, PYTHONPATH=str(Path(newslens.__file__).parent.parent))
     code = (
-        "import sys, newslens.cli, newslens.pipeline; "
-        "print([m for m in ('scipy.stats', 'scipy.sparse.linalg', 'urllib.request', 'xml.sax')"
-        " if m in sys.modules])"
+        "import sys, newslens.cli, newslens.config, newslens.pipeline, newslens.report; "
+        "print([m for m in ('scipy.stats', 'scipy.special', 'scipy.sparse.linalg',"
+        " 'urllib.request', 'xml.sax') if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

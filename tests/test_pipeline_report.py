@@ -311,6 +311,20 @@ class TestStageErrors:
             f"poll spread of {cfg.polls}; it must be at most {half - 1}"
         )
 
+    def test_max_lag_too_long_for_article_span_fails_at_ingest(self, tmp_path, monkeypatch):
+        cfg_path = build_run_dir(tmp_path, days=45, article_days=20)
+        run_pipeline(load_config(cfg_path, overrides={"max_lag": 9}), through="ingest")
+        monkeypatch.setattr(
+            "newslens.pipeline.stage_topics", lambda state: pytest.fail("topics ran")
+        )
+        cfg = load_config(cfg_path, overrides={"max_lag": 10})
+        with pytest.raises(PipelineError, match="ingest") as exc_info:
+            run_pipeline(cfg)
+        assert str(exc_info.value.cause) == (
+            "analysis.max_lag (--max-lag) is 10, too large for the 20-day article span "
+            f"of outlet 'outlet_one' in {cfg.articles['outlet_one']}; it must be at most 9"
+        )
+
     def test_stage_prefix_composes(self, tmp_path):
         cfg = load_config(build_run_dir(tmp_path))
         state = RunState(config=cfg)

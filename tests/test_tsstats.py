@@ -463,15 +463,15 @@ class TestGrangerBeta:
 
     @pytest.mark.parametrize("n", [20, 21, 60, 239])
     def test_p_value_equals_student_t_tail(self, n):
-        # granger_beta computes the tail without scipy.stats; it must give
-        # the same bits as the two-sided scipy.stats.t.sf tail.
+        # granger_beta computes the tail in tsstats, without scipy; it must
+        # agree with the two-sided scipy.stats.t.sf tail to 1e-12.
         rng = np.random.default_rng(n)
         for slope in (0.0, 0.05, 0.3, 1.0, 4.0):
             x = rng.standard_normal(n)
             y = slope * x + rng.standard_normal(n)
             res = granger_beta(series(y), series(x), lag=0)
             expected = float(2.0 * scipy.stats.t.sf(abs(res.t_stat), df=n - 2))
-            assert res.p_value == expected
+            assert res.p_value == pytest.approx(expected, rel=1e-12)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(26)
@@ -496,6 +496,53 @@ class TestGrangerBeta:
         x = series(np.full(30, 2.0))
         with pytest.raises(ValueError, match="constant"):
             granger_beta(y, x, lag=0)
+
+
+class TestStudentTTail:
+    def test_matches_scipy_on_grid(self):
+        # Every df from 1 to 60, then every 13th to 2000; |t| from 1e-3 to
+        # 100.  Below that, scipy's own tail at df = 1 is off by up to
+        # 2.8e-11 (at |t| = 1e-6), so small |t| is held to mpmath below.
+        tail = tsstats._student_t_tail
+        ts = np.concatenate([np.geomspace(1e-3, 100.0, 60), np.arange(1.0, 11.0)])
+        worst = 0.0
+        for df in [*range(1, 61), *range(61, 2000, 13), 2000]:
+            ref = 2.0 * scipy.stats.t.sf(ts, df)
+            for t, r in zip(ts.tolist(), ref.tolist()):
+                if r >= 1e-300:
+                    worst = max(worst, abs(tail(t, df) - r) / r, abs(tail(-t, df) - r) / r)
+        assert worst <= 1e-12
+
+    def test_closed_forms_at_one_and_two_df(self):
+        # df = 1: 1 - (2/pi) atan|t| = (2/pi) atan(1/|t|).
+        # df = 2: 1 - |t| / sqrt(2 + t^2) = 2 / (sqrt(2 + t^2) (sqrt(2 + t^2) + |t|)).
+        # The right-hand forms keep their digits in the far tail.
+        tail = tsstats._student_t_tail
+        for t in np.geomspace(1e-8, 1e8, 161).tolist():
+            r = math.sqrt(2.0 + t * t)
+            assert tail(t, 1) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t), rel=1e-12)
+            assert tail(t, 2) == pytest.approx(2.0 / (r * (r + t)), rel=1e-12)
+            assert tail(t, 1) == pytest.approx(1.0 - 2.0 / math.pi * math.atan(t), abs=1e-15)
+            assert tail(t, 2) == pytest.approx(1.0 - t / r, abs=1e-15)
+        assert tail(1e200, 1) == pytest.approx(2.0 / math.pi * 1e-200, rel=1e-12)
+
+    def test_small_t_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        tail = tsstats._student_t_tail
+        with mpmath.workdps(40):
+            for df in (1, 2, 3, 18, 237, 2000):
+                for t in (1e-9, 1e-6, 3e-5, 1e-3):
+                    x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+                    ref = float(mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True))
+                    assert tail(t, df) == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 18, 237, 2000])
+    def test_ends_of_the_range(self, df):
+        tail = tsstats._student_t_tail
+        assert tail(0.0, df) == 1.0
+        assert tail(-0.0, df) == 1.0
+        assert tail(math.inf, df) == 0.0
+        assert tail(-math.inf, df) == 0.0
 
 
 class TestGrangerScan:

@@ -9,6 +9,12 @@ reads ``<name> <report.json sha256> <outputs sha256>``, where the second
 hash covers every output file but ``manifest.json`` (which records the
 runtime): each file's path relative to the output directory, its size and
 its bytes, in path order.  A change that only simplifies keeps all eight.
+
+Each input runs twice: once as the host allows, which on two or more CPUs
+fits topics in a forked worker, and once with ``os.sched_getaffinity``
+reporting one CPU, which runs every stage inline.  The script prints the
+first run's line and exits nonzero, naming the input, when the two runs'
+hashes differ.  On a one-CPU host both runs are inline.
 """
 
 import hashlib
@@ -16,6 +22,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -43,6 +50,11 @@ def outputs_sha256(out: Path) -> str:
     return digest.hexdigest()
 
 
+def run_hashes(config: Path, overrides: dict, out: Path) -> tuple[str, str]:
+    emit_outputs(run_pipeline(load_config(config, overrides)), out)
+    return hashlib.sha256((out / "report.json").read_bytes()).hexdigest(), outputs_sha256(out)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -51,10 +63,12 @@ def main() -> None:
             w = build(name, SEED, work / name)
             inputs.append((name, w.config, w.overrides))
         for name, config, overrides in inputs:
-            out = work / "out" / name
-            emit_outputs(run_pipeline(load_config(config, overrides)), out)
-            report = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-            print(name, report, outputs_sha256(out), flush=True)
+            hashes = run_hashes(config, overrides, work / "out" / name)
+            print(name, *hashes, flush=True)
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+                inline = run_hashes(config, overrides, work / "inline" / name)
+            if inline != hashes:
+                sys.exit(f"{name}: the inline topics path gives {' '.join(inline)}")
 
 
 if __name__ == "__main__":

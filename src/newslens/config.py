@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .corpus import EntitySpec
+from .corpus import BUNDLED_DATA, EntitySpec
 from .sentiment import LEXICON_FILES
 from .topics import NORMALIZATION_MODES
 
@@ -30,81 +30,6 @@ class _RangeError(ValueError):
         super().__init__(f"config: {field} {problem}")
         self.field = field
         self.problem = problem
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything a pipeline run needs; load_config resolves its paths."""
-
-    articles: dict[str, Path]
-    polls: Path
-    entities: tuple[EntitySpec, EntitySpec]
-    seed: int
-    out_dir: Path = Path("out")
-    n_topics: int = 6
-    drop_topics: tuple[int, ...] = ()
-    normalization: str = "per_day_share"
-    min_df: int = 2
-    window_days: int = 7
-    max_lag: int = 20
-    n_perm: int = 10000
-    bootstrap_b: int = 10000
-    bootstrap_gamma: float = 0.95
-    membership_threshold: float = 0.34
-    min_topic_mentions: int = 30
-    keywords_per_topic: int = 10
-    stopwords: Path | None = None
-    lexicon: Path | None = None
-    labels: Path | None = None
-
-    def __post_init__(self) -> None:
-        if not self.articles:
-            raise ValueError("config: at least one outlet article file required")
-        by_tag: dict[str, str] = {}
-        for name in self.articles:
-            tag = outlet_slug(name)
-            if by_tag.setdefault(tag, name) != name:
-                raise ValueError(
-                    f"config: outlets {by_tag[tag]!r} and {name!r} share the file tag {tag!r}"
-                )
-        if len(self.entities) != 2:
-            raise ValueError(f"config: exactly two entities required, got {len(self.entities)}")
-        a, b = self.entities
-        if a.label == b.label:
-            raise ValueError("config: entity labels must differ")
-        # Entity patterns match NFC text, so aliases equal after NFC match the same words.
-        folded = [{unicodedata.normalize("NFC", al).lower() for al in e.aliases} for e in (a, b)]
-        shared = folded[0] & folded[1]
-        if shared:
-            raise ValueError(f"config: entities share aliases {sorted(shared)}")
-        if self.n_topics < 2:
-            raise _RangeError("n_topics", f"must be >= 2, got {self.n_topics}")
-        if self.normalization not in NORMALIZATION_MODES:
-            raise _RangeError(
-                "normalization",
-                f"must be one of {', '.join(NORMALIZATION_MODES)}, got {self.normalization!r}",
-            )
-        lows = {
-            "seed": 0, "window_days": 1, "max_lag": 0, "min_df": 1, "keywords_per_topic": 1,
-            "n_perm": 1, "bootstrap_b": 2, "min_topic_mentions": 1,
-        }
-        for name, low in lows.items():
-            if getattr(self, name) < low:
-                raise _RangeError(name, f"must be >= {low}, got {getattr(self, name)}")
-        if not 0.0 < self.bootstrap_gamma < 1.0:
-            raise _RangeError("bootstrap_gamma", f"must be in (0, 1), got {self.bootstrap_gamma}")
-        if not 0.0 < self.membership_threshold <= 1.0:
-            raise _RangeError(
-                "membership_threshold", f"must be in (0, 1], got {self.membership_threshold}"
-            )
-        bad = [i for i in self.drop_topics if not 0 <= i < self.n_topics]
-        if bad:
-            raise _RangeError("drop_topics", f"{bad} outside [0, {self.n_topics})")
-        if len(set(self.drop_topics)) == self.n_topics:
-            raise ValueError(
-                f"config: topics.drop (--drop-topics) drops all {self.n_topics} topics; "
-                "at least one must be kept"
-            )
 
 
 class _EntryError(ValueError):
@@ -162,39 +87,102 @@ def _file(value) -> Path:
     return Path(value)
 
 
-# The config file's layout: each PipelineConfig field a file can set, by
-# dotted key (section.key, or key at the top level) and parse.  A Path a
-# parse returns is relative to the config file.
-_SCHEMA = {
-    "articles": ("articles", _articles),
-    "polls": ("polls", _file),
-    "entities": ("entities", _entities),
-    "seed": ("seed", _integer),
-    "out_dir": ("output", Path),
-    "window_days": ("window_days", _integer),
-    "stopwords": ("stopwords", _file),
-    "n_topics": ("topics.count", _integer),
-    "drop_topics": ("topics.drop", _integers),
-    "normalization": ("topics.normalization", str),
-    "min_df": ("topics.min_df", _integer),
-    "keywords_per_topic": ("topics.keywords", _integer),
-    "max_lag": ("analysis.max_lag", _integer),
-    "n_perm": ("analysis.permutations", _integer),
-    "bootstrap_b": ("bootstrap.samples", _integer),
-    "bootstrap_gamma": ("bootstrap.level", _fraction),
-    "membership_threshold": ("sentiment.membership_threshold", _fraction),
-    "min_topic_mentions": ("sentiment.min_topic_mentions", _integer),
-    "lexicon": ("sentiment.lexicon", Path),
-    "labels": ("sentiment.labels", _file),
-}
+def _setting(key: str, parse, default=MISSING, *, low=None, report: str | None = None):
+    """A PipelineConfig field that config-file ``key`` sets through ``parse``.
+
+    ``key`` is dotted (section.key, or key at the top level), and a Path
+    the parse returns is relative to the config file.  A value below
+    ``low`` is rejected.  ``report`` is the field's key in report.json's
+    settings when that is not its name.
+    """
+    metadata = {"key": key, "parse": parse, "low": low, "report": report}
+    return field(default=default, metadata=metadata)
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Everything a pipeline run needs; load_config resolves its paths.
+
+    Each field's declaration is the one place its setting is defined:
+    its config-file key and parse, its default, its least value and its
+    report.json key (see ``_setting``).
+    """
+
+    articles: dict[str, Path] = _setting("articles", _articles)
+    polls: Path = _setting("polls", _file)
+    entities: tuple[EntitySpec, EntitySpec] = _setting("entities", _entities)
+    seed: int = _setting("seed", _integer, low=0)
+    out_dir: Path = _setting("output", Path, Path("out"))
+    n_topics: int = _setting("topics.count", _integer, 6, low=2)
+    drop_topics: tuple[int, ...] = _setting("topics.drop", _integers, ())
+    normalization: str = _setting("topics.normalization", str, "per_day_share")
+    min_df: int = _setting("topics.min_df", _integer, 2, low=1)
+    window_days: int = _setting("window_days", _integer, 7, low=1)
+    max_lag: int = _setting("analysis.max_lag", _integer, 20, low=0)
+    n_perm: int = _setting("analysis.permutations", _integer, 10000, low=1, report="permutations")
+    bootstrap_b: int = _setting(
+        "bootstrap.samples", _integer, 10000, low=2, report="bootstrap_samples"
+    )
+    bootstrap_gamma: float = _setting("bootstrap.level", _fraction, 0.95, report="bootstrap_level")
+    membership_threshold: float = _setting("sentiment.membership_threshold", _fraction, 0.34)
+    min_topic_mentions: int = _setting("sentiment.min_topic_mentions", _integer, 30, low=1)
+    keywords_per_topic: int = _setting("topics.keywords", _integer, 10, low=1)
+    stopwords: Path = _setting("stopwords", _file, BUNDLED_DATA / "stopwords_en.txt")
+    lexicon: Path = _setting("sentiment.lexicon", Path, BUNDLED_DATA)
+    labels: Path | None = _setting("sentiment.labels", _file, None)
+
+    def __post_init__(self) -> None:
+        if not self.articles:
+            raise ValueError("config: at least one outlet article file required")
+        by_tag: dict[str, str] = {}
+        for name in self.articles:
+            tag = outlet_slug(name)
+            if by_tag.setdefault(tag, name) != name:
+                raise ValueError(
+                    f"config: outlets {by_tag[tag]!r} and {name!r} share the file tag {tag!r}"
+                )
+        if len(self.entities) != 2:
+            raise ValueError(f"config: exactly two entities required, got {len(self.entities)}")
+        a, b = self.entities
+        if a.label == b.label:
+            raise ValueError("config: entity labels must differ")
+        # Entity patterns match NFC text, so aliases equal after NFC match the same words.
+        folded = [{unicodedata.normalize("NFC", al).lower() for al in e.aliases} for e in (a, b)]
+        shared = folded[0] & folded[1]
+        if shared:
+            raise ValueError(f"config: entities share aliases {sorted(shared)}")
+        for f in fields(self):
+            low, value = f.metadata["low"], getattr(self, f.name)
+            if low is not None and value < low:
+                raise _RangeError(f.name, f"must be >= {low}, got {value}")
+        if self.normalization not in NORMALIZATION_MODES:
+            raise _RangeError(
+                "normalization",
+                f"must be one of {', '.join(NORMALIZATION_MODES)}, got {self.normalization!r}",
+            )
+        if not 0.0 < self.bootstrap_gamma < 1.0:
+            raise _RangeError("bootstrap_gamma", f"must be in (0, 1), got {self.bootstrap_gamma}")
+        if not 0.0 < self.membership_threshold <= 1.0:
+            raise _RangeError(
+                "membership_threshold", f"must be in (0, 1], got {self.membership_threshold}"
+            )
+        bad = [i for i in self.drop_topics if not 0 <= i < self.n_topics]
+        if bad:
+            raise _RangeError("drop_topics", f"{bad} outside [0, {self.n_topics})")
+        if len(set(self.drop_topics)) == self.n_topics:
+            raise ValueError(
+                f"config: topics.drop (--drop-topics) drops all {self.n_topics} topics; "
+                "at least one must be kept"
+            )
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Parse a YAML or JSON config file; relative paths resolve against it.
 
-    The file may hold only the keys ``_SCHEMA`` lists, at the top level
-    and in each section; any other key is rejected by its dotted name.  A
-    null value counts as absent, and an absent key keeps the field's default.
+    The file may hold only the keys PipelineConfig's fields declare, at
+    the top level and in each section; any other key is rejected by its
+    dotted name.  A null value counts as absent, and an absent key keeps
+    the field's default.
 
     ``overrides`` (from CLI flags) map PipelineConfig field names to
     values that replace the file's; keys with value None are ignored.
@@ -210,8 +198,9 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a mapping")
 
+    keys = {f.name: f.metadata["key"] for f in fields(PipelineConfig)}
     sections: dict = {"": raw}
-    for dotted, _ in _SCHEMA.values():
+    for dotted in keys.values():
         name = dotted.rpartition(".")[0]
         if name not in sections:
             body = raw.get(name)
@@ -219,7 +208,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
                 raise ValueError(f"{path}: {name!r} must be a mapping, got {type(body).__name__}")
             sections[name] = body or {}
     # (section, key) pairs: a dotted key at the top level names no section's key.
-    listed = {dotted.rpartition(".")[::2] for dotted, _ in _SCHEMA.values()}
+    listed = {dotted.rpartition(".")[::2] for dotted in keys.values()}
     listed |= {("", name) for name in sections if name}
     found = [(name, key) for name, body in sections.items() for key in body]
     unknown = [f"{s}.{k}".removeprefix(".") for s, k in found if (s, k) not in listed]
@@ -227,11 +216,12 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ValueError(f"{path}: unknown config keys {', '.join(map(repr, unknown))}")
 
     settings = {}
-    for field, (dotted, parse) in _SCHEMA.items():
+    for f in fields(PipelineConfig):
+        dotted, parse = f.metadata["key"], f.metadata["parse"]
         name, _, key = dotted.rpartition(".")
         value = sections[name].get(key)
         if value is None:
-            value = PipelineConfig.__dataclass_fields__[field].default
+            value = f.default
             if value is MISSING:
                 raise ValueError(f"{path}: missing required key {dotted!r}")
         else:
@@ -245,19 +235,18 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
             value = path.parent / value
         elif parse is _articles:
             value = {outlet: path.parent / p for outlet, p in value.items()}
-        settings[field] = value
+        settings[f.name] = value
     overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
     try:
         cfg = PipelineConfig(**{**settings, **overridden})
     except _RangeError as exc:
-        name = exc.field if exc.field in overridden else _SCHEMA[exc.field][0]
+        name = exc.field if exc.field in overridden else keys[exc.field]
         raise ValueError(f"{path}: {name} {exc.problem}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {str(exc).removeprefix('config: ')}") from None
 
-    inputs = [getattr(cfg, field) for field, (_, parse) in _SCHEMA.items() if parse is _file]
-    if cfg.lexicon is not None:
-        inputs += [Path(cfg.lexicon) / name for name in LEXICON_FILES]
+    inputs = [getattr(cfg, f.name) for f in fields(cfg) if f.metadata["parse"] is _file]
+    inputs += [Path(cfg.lexicon) / name for name in LEXICON_FILES]
     missing = [
         str(p) for p in [*cfg.articles.values(), *inputs] if p is not None and not Path(p).is_file()
     ]

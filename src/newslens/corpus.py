@@ -18,10 +18,12 @@ import unicodedata
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 from .series import DatedSeries, pooled_window_mean
 
 __all__ = [
+    "BUNDLED_DATA",
     "tokenize",
     "split_sentences",
     "Article",
@@ -32,6 +34,10 @@ __all__ = [
     "daily_spread",
     "named_entities",
 ]
+
+# The inputs shipped with the package: the English stoplist and the
+# lexicon directory's files, PipelineConfig's defaults.
+BUNDLED_DATA = Path(__file__).parent / "data"
 
 _ARTICLE_KEYS = {"id", "outlet", "date", "title", "body"}
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import tokenize
 from .sentiment import LEXICON_FILES, default_lexicon
 
@@ -150,13 +151,9 @@ def generate_fixture(out_dir, seed: int, spec: FixtureSpec = FixtureSpec()) -> d
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    from importlib.resources import files
-
     base_stop = [
         line.strip()
-        for line in (files("newslens") / "data" / "stopwords_en.txt")
-        .read_text(encoding="utf-8")
-        .splitlines()
+        for line in PipelineConfig.stopwords.read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
     forbidden = set(base_stop) | set(_TEMPLATE_EXTRA_WORDS)

@@ -29,7 +29,6 @@ from .sentiment import (
     MentionRecord,
     SbStatistic,
     SentimentTally,
-    default_lexicon,
     load_labels,
     load_lexicon,
     mention_records,
@@ -145,13 +144,8 @@ def stage_ingest(state: RunState) -> None:
     state.polls = load_polls(cfg.polls)
     state.spread = daily_spread(state.polls, cfg.window_days)
     _check_max_lag(cfg.max_lag, len(state.spread), f"poll spread of {cfg.polls}")
-    if cfg.stopwords is not None:
-        state.stopwords = load_stopwords(cfg.stopwords)
-    else:
-        from importlib.resources import files
-
-        state.stopwords = load_stopwords(files("newslens") / "data" / "stopwords_en.txt")
-    state.lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon is not None else default_lexicon()
+    state.stopwords = load_stopwords(cfg.stopwords)
+    state.lexicon = load_lexicon(cfg.lexicon)
     state.labels = load_labels(cfg.labels) if cfg.labels is not None else None
     for outlet, path in sorted(cfg.articles.items()):
         res = state.outlets[outlet] = OutletResult(outlet, load_articles(path, cfg.entities))

@@ -36,22 +36,17 @@ __all__ = ["emit_outputs", "report_dict"]
 # the field out.
 _RESULT_KEYS = {"n_resamples": "resamples", "n_mentions": None, "seed": None}
 
-# The same for the settings block, over PipelineConfig's fields.
-_SETTING_KEYS = {
-    "n_perm": "permutations",
-    "bootstrap_b": "bootstrap_samples",
-    "bootstrap_gamma": "bootstrap_level",
-}
-
 
 def _record(obj, keys: dict[str, str | None]) -> dict:
     """A dataclass's fields, in field order, as report values under ``keys``.
 
-    Fields declared to hold paths are left out.
+    A field ``keys`` does not name is reported under the key its metadata
+    gives as ``report``, else under its name.  Fields declared to hold
+    paths are left out.
     """
     out = {}
     for f in fields(obj):
-        key = keys.get(f.name, f.name)
+        key = keys.get(f.name, f.metadata.get("report") or f.name)
         if key is not None and "Path" not in str(f.type):
             out[key] = _value(getattr(obj, f.name))
     return out
@@ -130,7 +125,7 @@ def report_dict(bundle: ReportBundle) -> dict:
     return {
         "versions": {"newslens": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "rng": "numpy-pcg64",
-        "settings": _record(state.config, _SETTING_KEYS),
+        "settings": _record(state.config, {}),
         "polls": {"records": len(state.polls), "spread": _value(state.spread)},
         "outlets": {res.outlet: _outlet_record(res) for res in state.outlets.values()},
     }

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _lowered_tokens, Article, EntitySpec, tokenize
+from .corpus import _lowered_tokens, BUNDLED_DATA, Article, EntitySpec, tokenize
 from .series import DatedSeries, pooled_window_mean, window_mean
 from .vectorize import load_stopwords
 
@@ -117,9 +117,7 @@ def load_lexicon(directory) -> Lexicon:
 
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package."""
-    from importlib.resources import files
-
-    return load_lexicon(files("newslens") / "data")
+    return load_lexicon(BUNDLED_DATA)
 
 
 # --- rule scorer ----------------------------------------------------------

@@ -422,8 +422,11 @@ def topic_weight_series(
     The raw weight of topic i on day d sums length(j) * H[j, i] over the
     documents j published on d, where length(j) is
     ``factors.doc_lengths[j]``, the token count of title plus body that
-    ``tfidf_matrix`` recorded.  Raw series are smoothed with a trailing
-    ``window_days`` mean, then normalized:
+    ``tfidf_matrix`` recorded.  The series span the days of ``articles``,
+    first to last, as the outlet's mention series do: a day whose
+    articles have no row in ``factors`` (no vocabulary term) has zero raw
+    weight.  Raw series are smoothed with a trailing ``window_days``
+    mean, then normalized:
 
     - ``per_day_share``: each day's values divided by their sum, so the
       kept topics' shares sum to one on days with any coverage;
@@ -452,8 +455,8 @@ def topic_weight_series(
         raise ValueError("all topics dropped")
 
     used = [by_id[i] for i in factors.doc_ids]
-    first = min(a.date for a in used)
-    last = max(a.date for a in used)
+    first = min(a.date for a in articles)
+    last = max(a.date for a in articles)
     n_days = (last - first).days + 1
     days = np.array([(a.date - first).days for a in used], dtype=np.intp)
     lengths = np.asarray(factors.doc_lengths, dtype=float)

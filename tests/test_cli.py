@@ -10,6 +10,7 @@ import pytest
 import newslens
 from newslens.cli import BLAS_THREAD_VARS, main
 from newslens.config import load_config
+from newslens.fixture import generate_fixture
 from newslens.pipeline import run_pipeline
 
 from conftest import build_run_dir
@@ -102,6 +103,27 @@ class TestRun:
         report = json.loads((run_dir / "out" / "report.json").read_text())
         assert "outlets" in report
         assert (run_dir / "out" / "manifest.json").is_file()
+
+    def test_article_without_vocabulary_terms_keeps_the_article_span(self, tmp_path, caplog):
+        # The seed-11 fixture cut to its first 24 days, plus one article the
+        # day before whose every token is on the fixture stoplist.  Its
+        # tf-idf row is dropped, but topic coverage still spans the 25
+        # article days for which ingest allows max_lag 12.
+        config = generate_fixture(tmp_path, 11)["config"]
+        path = tmp_path / "articles.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        first = min(date.fromisoformat(r["date"]) for r in rows)
+        before = (first - timedelta(days=1)).isoformat()
+        rows = [r for r in rows if r["date"] < (first + timedelta(days=24)).isoformat()]
+        extra = {**rows[0], "id": "z0", "date": before, "title": "", "body": "Arden met aides."}
+        path.write_text("".join(json.dumps(r) + "\n" for r in [extra, *rows]), encoding="utf-8")
+        assert invoke("validate", "--config", str(config), "--max-lag", "12") == 0
+        assert invoke("run", "--config", str(config), "--max-lag", "12") == 0
+        assert "article z0 has no vocabulary terms; row dropped" in caplog.text
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        coverage = report["outlets"]["synth_daily"]["topics"]["coverage"]
+        assert coverage and all(s["start"] == before for s in coverage)
+        assert {len(s["values"]) for s in coverage} == {25}
 
     def test_out_override(self, run_dir, tmp_path):
         other = tmp_path / "elsewhere"

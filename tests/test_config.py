@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -113,6 +114,13 @@ class TestLoadConfig:
         assert cfg.seed == 11
         assert cfg.labels == tmp_path / "labels.csv"
         assert cfg.lexicon == tmp_path / mapping["sentiment"]["lexicon"]
+        # The example sets every key a PipelineConfig field declares, and no other.
+        declared = [f.metadata["key"] for f in dataclasses.fields(PipelineConfig)]
+        written = []
+        for key, value in mapping.items():
+            section = isinstance(value, dict) and key not in declared
+            written += [f"{key}.{sub}" for sub in value] if section else [key]
+        assert sorted(written) == sorted(declared)
 
     def test_json_accepted(self, tmp_path):
         p = tmp_path / "config.json"

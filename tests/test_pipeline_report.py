@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+import newslens
 import newslens.corpus as corpus
 import newslens.pipeline as pipeline
 import newslens.sentiment as sentiment
@@ -83,6 +84,20 @@ class TestRunPipeline:
         a = report_dict(run_pipeline(cfg))
         b = report_dict(run_pipeline(cfg))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_bundled_stoplist_and_lexicon_are_the_defaults(self, run_bundle, tmp_path):
+        # run_bundle's config names neither; naming the bundled files gives the same report.
+        data = Path(newslens.__file__).parent / "data"
+        cfg = run_bundle.state.config
+        assert (cfg.stopwords, cfg.lexicon) == (data / "stopwords_en.txt", data)
+        path = build_run_dir(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("sentiment:\n  min_topic_mentions: 5\n")
+        text += f"  lexicon: {json.dumps(str(data))}\n"
+        text += f"stopwords: {json.dumps(str(data / 'stopwords_en.txt'))}\n"
+        path.write_text(text, encoding="utf-8")
+        named = run_pipeline(load_config(path))
+        assert json.dumps(report_dict(named)) == json.dumps(report_dict(run_bundle))
 
     def test_runtime_not_in_report_dict(self, run_bundle):
         text = json.dumps(report_dict(run_bundle))

@@ -733,6 +733,18 @@ class TestTopicWeightSeries:
         assert vals[1] == 0.0 and vals[2] == 0.0
         assert np.all(np.isfinite(vals))
 
+    def test_first_article_without_a_row_starts_the_series(self):
+        # An article with no vocabulary term has no row in the factors; its
+        # day still opens the series, with zero raw weight and zero share.
+        arts, factors, _ = coverage_fixture()
+        blank = make_article(id="a0", day=date(2021, 2, 28), title="", body="the of")
+        cov = topic_weight_series(factors, [blank, *arts], window_days=1)
+        assert [s.start for s in cov.raw + cov.topics] == [date(2021, 2, 28)] * 4
+        assert np.allclose(cov.raw[0].values, [0.0, 3.0 * 1.0, 2.0 * 0.2])
+        assert np.allclose(cov.raw[1].values, [0.0, 3.0 * 0.5, 2.0 * 0.8])
+        assert [s.values[0] for s in cov.topics] == [0.0, 0.0]
+        assert np.allclose(cov.topics[0].values[1:], [3.0 / 4.5, 0.4 / 2.0])
+
     def test_validation_errors(self):
         arts, factors, _ = coverage_fixture()
         with pytest.raises(ValueError, match="mode"):

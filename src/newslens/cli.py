@@ -102,7 +102,8 @@ def _print_sentiment(state: RunState) -> None:
         for pos, topic_id in enumerate(res.coverage.topic_ids):
             sb = res.sb_by_topic[pos]
             if sb is None:
-                print(f"  topic {topic_id}: not significant (too few mentions)")
+                print(f"  topic {topic_id}: fewer than {state.config.min_topic_mentions} "
+                      "member mentions; no SB")
             else:
                 print(f"  topic {topic_id}: SB {sb.value:+.4f} ({sb.tally.total} mentions)")
 

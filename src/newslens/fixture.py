@@ -42,10 +42,10 @@ _TEMPLATES = {
     "neu": [("{e} met aides.", 0), ("{e} visited crowds.", 0)],
 }
 
-_TEMPLATE_EXTRA_WORDS = [
-    "was", "seemed", "looked", "met", "visited",
-    "aides", "crowds", "splendid", "admirable", "dreadful", "dismal",
-]
+# The templates' own words; "{e}" gives no token, single letters not being tokens.
+_TEMPLATE_EXTRA_WORDS = {
+    w for pairs in _TEMPLATES.values() for text, _ in pairs for w in tokenize(text)
+}
 
 _OUTLET = "synth_daily"
 
@@ -156,7 +156,7 @@ def generate_fixture(out_dir, seed: int, spec: FixtureSpec = FixtureSpec()) -> d
         for line in PipelineConfig.stopwords.read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    forbidden = set(base_stop) | set(_TEMPLATE_EXTRA_WORDS)
+    forbidden = set(base_stop) | _TEMPLATE_EXTRA_WORDS
     forbidden |= {spec.label_a.lower(), spec.label_b.lower()}
     forbidden |= set(default_lexicon().valence)
 
@@ -262,7 +262,7 @@ def generate_fixture(out_dir, seed: int, spec: FixtureSpec = FixtureSpec()) -> d
     paths["polls"] = p
 
     p = out / "stopwords.txt"
-    extra = sorted(set(_TEMPLATE_EXTRA_WORDS) | {spec.label_a.lower(), spec.label_b.lower()})
+    extra = sorted(_TEMPLATE_EXTRA_WORDS | {spec.label_a.lower(), spec.label_b.lower()})
     p.write_text(
         "# fixture stoplist: base words plus template and entity tokens\n"
         + "\n".join(base_stop + extra)

@@ -235,7 +235,7 @@ def stage_correlate(state: RunState) -> None:
 
 def stage_causality(state: RunState) -> None:
     # One scan over every outlet's kept topics, so the shared spread is
-    # differenced and unit-root checked once.
+    # differenced once.
     slots, series = _outlet_series(state, mentions=False)
     scans = granger_scan(state.spread, series, state.config.max_lag)
     for (res, topic_id), cells in zip(slots, scans):

@@ -257,12 +257,8 @@ def mention_records(
             for e in named:
                 hit_days[e.label].append(day)
             given = None if labels is None else labels.get((art.id, idx))
-            if len(named) == 1:
-                missing += given is None
-                cls = given or _score_tokens(_lowered_tokens(text.lower()), lexicon)
-                records.append(MentionRecord(art.id, art.date, named[0].label, text, cls))
-                continue
-            for entity, clause in _attribute(text, named):
+            pairs = [(named[0], text)] if len(named) == 1 else _attribute(text, named)
+            for entity, clause in pairs:
                 missing += given is None
                 cls = given or _score_tokens(_lowered_tokens(clause.lower()), lexicon)
                 records.append(MentionRecord(art.id, art.date, entity.label, clause, cls))

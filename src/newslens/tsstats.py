@@ -494,11 +494,9 @@ def granger_scan(
 
     Returns one list of GrangerResult per series of ``coverage``, in
     order, lags ascending, each cell's ``topic`` the series' position.
-    Both sides are first-differenced; the differenced spread is checked
-    once with the unit-root test, with a warning when stationarity is not
-    supported at the 5% level.  Lags with fewer than MIN_GRANGER_OVERLAP
-    overlapping days are skipped, with one warning per group of series
-    over the same days, so a series' list may be empty.
+    Both sides are first-differenced.  Lags with fewer than
+    MIN_GRANGER_OVERLAP overlapping days are skipped, with one warning per
+    group of series over the same days, so a series' list may be empty.
     """
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
@@ -506,16 +504,6 @@ def granger_scan(
     if not coverage:
         return out
     d_spread = first_difference(spread)
-    try:
-        adf = adf_test(d_spread)
-        if not adf.reject_5pct:
-            log.warning(
-                "differenced spread may be non-stationary "
-                "(ADF statistic %.3f fails the 5%% level)",
-                adf.statistic,
-            )
-    except ValueError as exc:
-        log.warning("unit-root check skipped: %s", exc)
     d_topics = [first_difference(s) for s in coverage]
     for members, cells in _lag_grid(d_topics, d_spread, max_lag, MIN_GRANGER_OVERLAP):
         for i in members:

@@ -125,6 +125,20 @@ class TestRun:
         assert coverage and all(s["start"] == before for s in coverage)
         assert {len(s["values"]) for s in coverage} == {25}
 
+    def test_default_window_run_writes_nothing_to_stderr(self, tmp_path):
+        # The seed-11 fixture at the documented 7-day window, in a fresh
+        # interpreter so the CLI's own log handler writes to stderr: no
+        # stage logs a warning.
+        config = generate_fixture(tmp_path, 11)["config"]
+        env = dict(os.environ, PYTHONPATH=str(Path(newslens.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "newslens.cli", "run", "--config", str(config), "--window", "7"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (tmp_path / "out" / "report.json").is_file()
+
     def test_out_override(self, run_dir, tmp_path):
         other = tmp_path / "elsewhere"
         rc = invoke("run", "--config", str(run_dir / "config.yaml"), "--out", str(other))
@@ -219,6 +233,18 @@ class TestStageCommands:
         out = capsys.readouterr().out
         assert "(90% CI " in out
         assert "95% CI" not in out
+
+    def test_sentiment_names_the_mention_floor_of_unscored_topics(self, run_dir, capsys):
+        cfg = run_dir / "config.yaml"
+        text = cfg.read_text(encoding="utf-8")
+        assert "min_topic_mentions: 5" in text
+        cfg.write_text(text.replace("min_topic_mentions: 5", "min_topic_mentions: 1000"),
+                       encoding="utf-8")
+        assert invoke("sentiment", "--config", str(cfg)) == 0
+        topics = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  topic ")]
+        assert topics == [
+            f"  topic {t}: fewer than 1000 member mentions; no SB" for t in range(3)
+        ]
 
     def test_correlate_prints_rho(self, run_dir, capsys):
         rc = invoke("correlate", "--config", str(run_dir / "config.yaml"))

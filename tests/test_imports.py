@@ -74,6 +74,7 @@ UNREAD_EXPORTS = {
     "sentiment.tally_mentions": "acceptance criterion 01 calls it",
     "tsstats.spearman": "acceptance criterion 05 calls it",
     "sentiment.score_sentence": "the rule scorer's public entry; its tests and oracles call it",
+    "tsstats.adf_test": "acceptance criterion 06 calls it",
 }
 
 

@@ -635,10 +635,13 @@ class TestGrangerScan:
         spread = series(rng.standard_normal(60), start=START - timedelta(days=50))
         assert granger_scan(spread, [series(rng.standard_normal(60))], max_lag=3) == [[]]
 
-    def test_nonstationary_spread_warns(self, caplog):
+    def test_doubly_integrated_spread_logs_nothing(self, caplog):
+        # A doubly integrated spread is non-stationary after one
+        # difference; the scan still scores every lag and logs nothing.
         rng = np.random.default_rng(29)
         doubly = np.cumsum(np.cumsum(rng.standard_normal(120)))
         topic = np.cumsum(rng.standard_normal(120))
-        with caplog.at_level("WARNING", logger="newslens.tsstats"):
-            granger_scan(series(doubly), [series(topic)], max_lag=3)
-        assert any("non-stationary" in r.message for r in caplog.records)
+        with caplog.at_level("DEBUG", logger="newslens.tsstats"):
+            (cells,) = granger_scan(series(doubly), [series(topic)], max_lag=3)
+        assert [c.lag for c in cells] == [0, 1, 2, 3]
+        assert caplog.records == []
